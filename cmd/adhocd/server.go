@@ -487,11 +487,17 @@ func (s *server) BeginDrain() {
 	}
 }
 
-// boundedCtx builds the walk context for a budgeted query: the request
-// context (client disconnects cancel the walk), joined with the drain
-// context (drain interrupts the walk so it can hand back a cursor), plus
-// the client's deadline when one was asked for.
-func (s *server) boundedCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
+// walkCtx builds the walk context for a query; it carries the request's
+// span either way. A bounded query (budget, deadline, or resume token)
+// joins the request context (client disconnects cancel the walk) with the
+// drain context (drain interrupts the walk so it can hand back a cursor),
+// plus the client's deadline when one was asked for. An unbounded query
+// ignores both and runs to its verdict, since it has no way to hand back a
+// cursor.
+func (s *server) walkCtx(r *http.Request, bounded bool, deadlineMS int64) (context.Context, context.CancelFunc) {
+	if !bounded {
+		return context.WithoutCancel(r.Context()), func() {}
+	}
 	ctx, cancel := context.WithCancel(r.Context())
 	stop := context.AfterFunc(s.drainCtx, cancel)
 	if s.drainCtx.Err() != nil {
@@ -771,22 +777,13 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, eng *engine
 		writeJSON(w, http.StatusOK, reply)
 		return
 	}
-	if !req.bounded() {
-		res, err := eng.RouteTraced(src, dst, trace.FromContext(r.Context()))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, routeReplyOf(src, dst, res))
-		return
-	}
 	cur, ok := s.verifyResume(w, scope, req.Resume)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
+	ctx, cancel := s.walkCtx(r, req.bounded(), req.DeadlineMS)
 	defer cancel()
-	res, err := eng.RouteBudgetedTraced(ctx, src, dst, req.BudgetHops, cur, trace.FromContext(r.Context()))
+	res, err := eng.RouteBudgeted(ctx, src, dst, req.BudgetHops, cur)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -1051,8 +1048,8 @@ func (s *server) handleDynamic(w http.ResponseWriter, r *http.Request) {
 	// Unlike the other endpoints, a dynamic query's cost scales with its
 	// knobs (each churned epoch buys a recompile), so they are clamped
 	// server-side: one request must not purchase unbounded CPU.
-	res, err := s.eng.RouteDynamicTraced(world, graph.NodeID(req.Src), graph.NodeID(req.Dst),
-		clampDynamics(req.HopsPerEpoch, req.MaxRounds), trace.FromContext(r.Context()))
+	res, err := s.eng.RouteDynamicBudgeted(context.WithoutCancel(r.Context()), world,
+		graph.NodeID(req.Src), graph.NodeID(req.Dst), 0, nil, clampDynamics(req.HopsPerEpoch, req.MaxRounds))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,6 +190,40 @@ func TestFlightRecorderUnreachableWalk(t *testing.T) {
 		if h.HeaderBits <= 0 {
 			t.Fatalf("hop without header bits: %+v", h)
 		}
+	}
+
+	// The same burn as a budgeted walk resumed over several segments: each
+	// segment's trace holds the round spans it walked, and together they
+	// account for every hop of the uninterrupted walk.
+	budget := reply.Hops/4 + 1
+	body := fmt.Sprintf(`{"src":0,"dst":100,"budget_hops":%d}`, budget)
+	var segHops int64
+	for segments := 1; ; segments++ {
+		var seg routeReply
+		resp := postTraced(t, ts, "/v1/route", "", body, &seg)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("segment %d: code %d reply %+v", segments, resp.StatusCode, seg)
+		}
+		var sx trace.Export
+		if code := getJSON(t, ts, "/v1/traces/"+traceIDOf(t, resp), &sx); code != http.StatusOK {
+			t.Fatalf("segment %d trace get: code %d", segments, code)
+		}
+		for _, sp := range sx.Spans {
+			if sp.Name == "route.round" {
+				segHops += sp.HopTotal
+			}
+		}
+		if seg.Resume == "" {
+			if segments < 3 || seg.Status != "failure" || seg.Hops != reply.Hops {
+				t.Fatalf("resumed walk ended after %d segments with %+v, want failure in %d hops",
+					segments, seg, reply.Hops)
+			}
+			break
+		}
+		body = fmt.Sprintf(`{"src":0,"dst":100,"budget_hops":%d,"resume":%q}`, budget, seg.Resume)
+	}
+	if segHops != reply.Hops {
+		t.Fatalf("resumed walk: round hops over all segments sum to %d, reply says %d", segHops, reply.Hops)
 	}
 }
 

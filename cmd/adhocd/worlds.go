@@ -9,7 +9,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/registry"
-	"repro/internal/trace"
 )
 
 // worldCreateRequest names a long-lived shared world: the network it is
@@ -247,24 +246,15 @@ func (s *server) handleWorldRoute(w http.ResponseWriter, r *http.Request) {
 	ent.Routes.Add(1)
 	src, dst := graph.NodeID(req.Src), graph.NodeID(req.Dst)
 	cfg := clampDynamics(req.HopsPerEpoch, req.MaxRounds)
-	if req.BudgetHops <= 0 && req.DeadlineMS <= 0 && req.Resume == "" {
-		res, err := ent.Eng.RouteDynamicTraced(ent.W, src, dst, cfg, trace.FromContext(r.Context()))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, dynamicReplyOf(req.Src, req.Dst, res, ent.W))
-		return
-	}
 	scope := "world:" + ent.ID
 	cur, ok := s.verifyResume(w, scope, req.Resume)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
+	bounded := req.BudgetHops > 0 || req.DeadlineMS > 0 || req.Resume != ""
+	ctx, cancel := s.walkCtx(r, bounded, req.DeadlineMS)
 	defer cancel()
-	res, err := ent.Eng.RouteDynamicBudgetedTraced(ctx, ent.W, src, dst, req.BudgetHops, cur, cfg,
-		trace.FromContext(r.Context()))
+	res, err := ent.Eng.RouteDynamicBudgeted(ctx, ent.W, src, dst, req.BudgetHops, cur, cfg)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -16,10 +16,11 @@
 //     churn, Markov on/off links, random-waypoint mobility that re-derives
 //     unit-disk (optionally Gabriel) edges from moving positions, and an
 //     adversarial scheduler that cuts the link the walk is about to use;
-//   - a Router advances the walk hop-by-hop through the existing steppers
-//     (flatgraph.RouteStepper on the hot path, netsim.Stepper as the
-//     instrumented reference), advancing the world every HopsPerEpoch hops
-//     and carrying the stateless header across snapshot recompiles.
+//   - a Router runs package route's walk driver with a snapshot provider:
+//     the driver walks hop segments (flatgraph.RouteStepper on the hot
+//     path, netsim.Stepper as the instrumented reference), and at each
+//     segment end the provider advances the world every HopsPerEpoch hops
+//     and carries the stateless header across snapshot recompiles.
 //
 // Verdict semantics under dynamics: a success verdict is sound by
 // construction (every hop traversed a then-existing edge, so reaching a

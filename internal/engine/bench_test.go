@@ -173,8 +173,8 @@ func BenchmarkUnreachableFullBurn(b *testing.B) {
 }
 
 // BenchmarkArmedUnsampledSharedWorldRoute prices the same warm
-// shared-world query through RouteDynamicTraced with a nil (unsampled)
-// span — the cost every request pays when tracing is compiled in and
+// shared-world query through RouteDynamicBudgeted with a nil (unsampled)
+// span in its context — the cost every request pays when tracing is compiled in and
 // armed but the sampler said no. The acceptance bar is staying within a
 // few ns of BenchmarkInstrumentedSharedWorldRoute.
 func BenchmarkArmedUnsampledSharedWorldRoute(b *testing.B) {
@@ -191,10 +191,11 @@ func BenchmarkArmedUnsampledSharedWorldRoute(b *testing.B) {
 	if _, _, err := w.Compiled(); err != nil {
 		b.Fatal(err)
 	}
+	ctx := trace.NewContext(context.Background(), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RouteDynamicTraced(w, 0, 18, dynamic.Config{HopsPerEpoch: -1}, nil); err != nil {
+		if _, err := e.RouteDynamicBudgeted(ctx, w, 0, 18, 0, nil, dynamic.Config{HopsPerEpoch: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,7 +223,8 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := tc.StartRequest("bench", "")
-		if _, err := e.RouteDynamicTraced(w, 0, 18, dynamic.Config{HopsPerEpoch: -1}, tr.Root()); err != nil {
+		ctx := trace.NewContext(context.Background(), tr.Root())
+		if _, err := e.RouteDynamicBudgeted(ctx, w, 0, 18, 0, nil, dynamic.Config{HopsPerEpoch: -1}); err != nil {
 			b.Fatal(err)
 		}
 		tr.Finish()

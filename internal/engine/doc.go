@@ -24,6 +24,15 @@
 // see RegisterMetrics). RouteBatch/RouteAll bound their own worker pool
 // (Config.Workers) and honor context cancellation between members.
 //
+// Routing entry points: Route and RouteBudgeted serve the compiled
+// network, RouteDynamic and RouteDynamicBudgeted an evolving world, and
+// all four run package route's single walk driver. The Budgeted forms take
+// the hop budget, the resume cursor, and a ctx that carries the deadline
+// and — read with trace.FromContext — the request span; there are no
+// separate traced variants, a sampled span in ctx is what turns per-round
+// spans on. Callers that want an unbounded walk to ignore cancellation
+// pass context.WithoutCancel, which keeps the span.
+//
 // Observability: every engine carries always-on instrumentation — query
 // counters by kind, latency histograms for the route/dynamic/batch entry
 // points, and the paper's own per-route quantities (hop count, header

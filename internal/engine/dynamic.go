@@ -26,15 +26,7 @@ func (e *Engine) NewWorld(sched dynamic.Schedule) *dynamic.World {
 // engine so dynamic and static queries speak the same protocol; cfg
 // supplies only the dynamics knobs.
 func (e *Engine) RouteDynamic(w *dynamic.World, s, t graph.NodeID, cfg dynamic.Config) (*dynamic.Result, error) {
-	return e.routeDynamic(nil, w, s, t, 0, nil, cfg, nil)
-}
-
-// RouteDynamicTraced is RouteDynamic recording the evolving walk under
-// sp: one span per round with the hop tail, plus timed events for epoch
-// advances, snapshot resumptions, and aborted rounds. A nil (unsampled)
-// span serves the query exactly like RouteDynamic.
-func (e *Engine) RouteDynamicTraced(w *dynamic.World, s, t graph.NodeID, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
-	return e.routeDynamic(nil, w, s, t, 0, nil, cfg, sp)
+	return e.RouteDynamicBudgeted(context.Background(), w, s, t, 0, nil, cfg)
 }
 
 // RouteDynamicBudgeted is RouteDynamic with bounded work: at most maxHops
@@ -44,17 +36,10 @@ func (e *Engine) RouteDynamicTraced(w *dynamic.World, s, t graph.NodeID, cfg dyn
 // walk up exactly where it stopped. Provably-unreachable pairs on
 // multi-component snapshots are answered in O(1) with a reachability
 // Certificate stamped with the world epoch and version it was computed at.
+// The span ctx carries (trace.FromContext) records the evolving walk: one
+// span per round with the hop tail, plus timed events for epoch advances,
+// snapshot resumptions, and aborted rounds.
 func (e *Engine) RouteDynamicBudgeted(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config) (*dynamic.Result, error) {
-	return e.routeDynamic(ctx, w, s, t, maxHops, cur, cfg, nil)
-}
-
-// RouteDynamicBudgetedTraced is RouteDynamicBudgeted recording the walk,
-// budget, and resume events under sp.
-func (e *Engine) RouteDynamicBudgetedTraced(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
-	return e.routeDynamic(ctx, w, s, t, maxHops, cur, cfg, sp)
-}
-
-func (e *Engine) routeDynamic(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
 	cfg.Seed = e.cfg.Seed
 	cfg.LengthFactor = e.cfg.LengthFactor
 	cfg.KnownN = e.cfg.KnownBound
@@ -65,16 +50,17 @@ func (e *Engine) routeDynamic(ctx context.Context, w *dynamic.World, s, t graph.
 		cfg.DisableCertificates = true
 	}
 	var qsp *trace.Span
-	if sp.Recording() {
+	if sp := trace.FromContext(ctx); sp.Recording() {
 		qsp = sp.Child("engine.route_dynamic")
 		defer qsp.End()
 		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
+		ctx = trace.NewContext(ctx, qsp)
 	}
 	start := sampleStart(e.m.dynamicRoutes.Add(1))
 	if cur != nil {
 		e.m.resumedWalks.Add(1)
 	}
-	res, err := dynamic.NewRouter(w, cfg).RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
+	res, err := dynamic.NewRouter(w, cfg).RouteBudgeted(ctx, s, t, maxHops, cur)
 	e.m.recordDynamic(res, err, start)
 	if qsp.Recording() {
 		if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dynamic"
@@ -112,7 +113,7 @@ func TestRouteDynamicTracedParity(t *testing.T) {
 
 	tc := trace.New(trace.Config{SampleRate: 1})
 	tr := tc.StartRequest("dynamic", "")
-	got, err := eng.RouteDynamicTraced(mkWorld(eng), 0, 18, cfg, tr.Root())
+	got, err := eng.RouteDynamicBudgeted(trace.NewContext(context.Background(), tr.Root()), mkWorld(eng), 0, 18, 0, nil, cfg)
 	tr.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -207,54 +207,30 @@ func (e *Engine) Route(s, t graph.NodeID) (*route.Result, error) {
 	return res, err
 }
 
-// RouteTraced is Route recording the walk under sp: a child span for the
-// query, one span per round with the walk's hop tail, and the verdict
-// attributes. A nil (unsampled) span serves the query exactly like Route
-// at a pointer-test's extra cost.
-func (e *Engine) RouteTraced(s, t graph.NodeID, sp *trace.Span) (*route.Result, error) {
-	if !sp.Recording() {
-		return e.Route(s, t)
-	}
-	qsp := sp.Child("engine.route")
-	defer qsp.End()
-	qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
-	start := sampleStart(e.m.routes.Add(1))
-	res, err := e.router.RouteTraced(s, t, qsp)
-	e.m.recordRoute(res, err, start)
-	annotateRoute(qsp, res, err)
-	return res, err
-}
-
 // RouteBudgeted is Route with bounded work: the walk performs at most
 // maxHops message hops (0 = unlimited) and honors ctx's deadline or
 // cancellation at round boundaries. When either limit strikes first the
 // result carries Exhausted and a resume Cursor; pass that cursor back to
 // continue the walk exactly where it stopped. Provably-unreachable pairs
 // on multi-component networks are answered in O(1) with a reachability
-// Certificate instead of a walk (unless Config.DisableCertificates).
+// Certificate instead of a walk (unless Config.DisableCertificates). The
+// span ctx carries (trace.FromContext) gets a child span for the query,
+// one span per round with the walk's hop tail, and the verdict attributes;
+// an unbounded call (maxHops 0, no cursor, a ctx that is never canceled)
+// serves the query exactly like Route.
 func (e *Engine) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor) (*route.Result, error) {
-	return e.routeBudgeted(ctx, s, t, maxHops, cur, nil)
-}
-
-// RouteBudgetedTraced is RouteBudgeted recording the walk, budget, and
-// resume events under sp. A nil (unsampled) span serves the query exactly
-// like RouteBudgeted.
-func (e *Engine) RouteBudgetedTraced(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor, sp *trace.Span) (*route.Result, error) {
-	return e.routeBudgeted(ctx, s, t, maxHops, cur, sp)
-}
-
-func (e *Engine) routeBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor, sp *trace.Span) (*route.Result, error) {
 	var qsp *trace.Span
-	if sp.Recording() {
+	if sp := trace.FromContext(ctx); sp.Recording() {
 		qsp = sp.Child("engine.route")
 		defer qsp.End()
 		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
+		ctx = trace.NewContext(ctx, qsp)
 	}
 	start := sampleStart(e.m.routes.Add(1))
 	if cur != nil {
 		e.m.resumedWalks.Add(1)
 	}
-	res, err := e.router.RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
+	res, err := e.router.RouteBudgeted(ctx, s, t, maxHops, cur)
 	e.m.recordRoute(res, err, start)
 	annotateRoute(qsp, res, err)
 	return res, err

@@ -70,105 +70,14 @@ type RouteOutcome struct {
 // the verdict back to the first node simulating src. It is the compiled
 // equivalent of the netsim token engine driving route's handler — same
 // positions, same hop counts, same verdict, same metering — with no
-// allocations and no per-hop error paths.
+// allocations and no per-hop error paths: one unbounded RouteStepper.Run.
 func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOutcome, error) {
-	if !f.regular3 || seq.Base != 3 {
-		return RouteOutcome{}, ErrNotRegular
+	var st RouteStepper
+	if err := st.Reset(f, start, 0, src, dst, seq, 1, false, false); err != nil {
+		return RouteOutcome{}, err
 	}
-	var (
-		out    RouteOutcome
-		dirs   [dirBlock]int8
-		node   = start
-		inPort = int32(0)
-		L      = int64(seq.Length)
-		i      = int64(1) // index of the next direction to apply
-		bBase  = int64(1) // dirs[k] holds T[bBase+k]
-		bLen   = int64(0)
-		peak   = 0
-		hops   = int64(0)
-	)
-	// Forward phase.
-	for {
-		act := int(f.memw[node]) + int(inPort) + 4 + wordBits(i)
-		if f.orig[node] == dst {
-			if act > peak {
-				peak = act
-			}
-			out.Success = true
-			break
-		}
-		if i > L {
-			if act > peak {
-				peak = act
-			}
-			break
-		}
-		if i >= bBase+bLen {
-			bBase, bLen = i, dirBlock
-			if rem := L - i + 1; rem < bLen {
-				bLen = rem
-			}
-			seq.Fill(dirs[:bLen], bBase)
-		}
-		t := int32(dirs[i-bBase])
-		if s := act + int(t) + 1; s > peak {
-			peak = s
-		}
-		exit := inPort + t
-		if exit >= 3 {
-			exit -= 3
-		}
-		h := f.halves[node*3+exit]
-		node, inPort = h.To, h.Port
-		i++
-		hops++
-	}
-	out.MaxIndex = i
-
-	// Turnaround: the terminal forward activation bounces the message back
-	// through its arrival port with the index pointing at the step to undo.
-	j := i - 1
-	h := f.halves[node*3+inPort]
-	node, inPort = h.To, h.Port
-	hops++
-
-	// Backward phase: undo steps until any node simulating src is reached.
-	bLow := j + 1 // nothing prefetched yet
-	for {
-		act := int(f.memw[node]) + int(inPort) + 4 + wordBits(j)
-		if f.orig[node] == src {
-			if act > peak {
-				peak = act
-			}
-			out.DeliveredIndex = j
-			break
-		}
-		if j < 1 {
-			return out, ErrUnwound
-		}
-		if j < bLow {
-			bLow = j - dirBlock + 1
-			if bLow < 1 {
-				bLow = 1
-			}
-			seq.Fill(dirs[:j-bLow+1], bLow)
-		}
-		t := int32(dirs[j-bLow])
-		if s := act + int(t) + 1; s > peak {
-			peak = s
-		}
-		exit := inPort - t
-		if exit < 0 {
-			exit += 3
-		}
-		h := f.halves[node*3+exit]
-		node, inPort = h.To, h.Port
-		j--
-		hops++
-	}
-	out.Hops = hops
-	out.PeakMemoryBits = peak
-	return out, nil
+	st.Run(-1)
+	return st.Outcome(), st.Err()
 }
 
 // BroadcastOutcome reports one completed flat broadcast round.

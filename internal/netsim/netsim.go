@@ -306,57 +306,11 @@ func NewEngine(g *graph.Graph, h Handler, opts ...Option) *Engine {
 // Run injects a message at start (as if arriving on startPort) and drives
 // it until the handler delivers or drops it, or maxHops is exceeded.
 func (e *Engine) Run(start graph.NodeID, startPort int, h Header, maxHops int64) (*Result, error) {
-	if !e.g.HasNode(start) {
-		return nil, fmt.Errorf("%w: %d", graph.ErrNodeNotFound, start)
+	st, err := e.Stepper(start, startPort, h, maxHops)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Final: start}
-	at, inPort := start, startPort
-	for {
-		if bits := h.Bits(); bits > res.MaxHeaderBits {
-			res.MaxHeaderBits = bits
-		}
-		if e.trace != nil {
-			e.trace(res.Hops, at, inPort, h)
-		}
-		e.budget.Reset()
-		dec, err := e.handler.OnMessage(at, inPort, e.g.Degree(at), &h, e.budget)
-		if p := e.budget.Peak(); p > res.PeakMemoryBits {
-			res.PeakMemoryBits = p
-		}
-		if err != nil {
-			return res, fmt.Errorf("netsim: handler at %d: %w", at, err)
-		}
-		switch dec.Kind {
-		case Deliver:
-			res.Final, res.Delivered, res.Header = at, true, h
-			return res, nil
-		case Drop:
-			res.Final, res.Header = at, h
-			return res, nil
-		case Send:
-			half, err := e.g.Neighbor(at, dec.OutPort)
-			if err != nil {
-				return res, fmt.Errorf("netsim: send from %d: %w", at, err)
-			}
-			if e.fault != nil && e.fault(res.Hops) {
-				res.Final, res.Header = at, h
-				return res, fmt.Errorf("%w: at hop %d from node %d", ErrMessageLost, res.Hops, at)
-			}
-			if e.wire {
-				decoded, err := DecodeHeader(h.Encode())
-				if err != nil {
-					return res, fmt.Errorf("netsim: wire round trip at %d: %w", at, err)
-				}
-				h = decoded
-			}
-			at, inPort = half.To, half.ToPort
-			res.Hops++
-			if maxHops > 0 && res.Hops > maxHops {
-				res.Final, res.Header = at, h
-				return res, fmt.Errorf("%w: %d hops", ErrHopBudget, maxHops)
-			}
-		default:
-			return res, ErrNoDecision
-		}
+	for !st.Step() {
 	}
+	return st.Result(), st.Err()
 }

@@ -2,10 +2,8 @@ package netsim
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -249,107 +247,4 @@ type portHandler struct{ port int }
 
 func (p *portHandler) OnMessage(graph.NodeID, int, int, *Header, *Memory) (Decision, error) {
 	return Decision{Kind: Send, OutPort: p.port}, nil
-}
-
-func TestConcurrentMatchesSequential(t *testing.T) {
-	g := gen.Cycle(8)
-	seqEngine := NewEngine(g, &hopCountHandler{stopAt: 23})
-	seqRes, err := seqEngine.Run(2, 0, Header{Src: 2, Dir: Forward}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewConcurrent(g, &hopCountHandler{stopAt: 23}, 100)
-	defer c.Close()
-	conRes, err := c.Run(2, 0, Header{Src: 2, Dir: Forward}, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conRes.Final != seqRes.Final || conRes.Hops != seqRes.Hops ||
-		conRes.Delivered != seqRes.Delivered {
-		t.Fatalf("concurrent %+v != sequential %+v", conRes, seqRes)
-	}
-}
-
-func TestConcurrentHopBudget(t *testing.T) {
-	c := NewConcurrent(gen.Cycle(4), &hopCountHandler{stopAt: 1 << 40}, 10)
-	defer c.Close()
-	_, err := c.Run(0, 0, Header{}, 5*time.Second)
-	if !errors.Is(err, ErrHopBudget) {
-		t.Fatalf("error = %v, want ErrHopBudget", err)
-	}
-}
-
-func TestConcurrentCloseIdempotent(t *testing.T) {
-	c := NewConcurrent(gen.Cycle(4), dropHandler{}, 10)
-	c.Close()
-	c.Close() // must not panic or deadlock
-}
-
-func TestConcurrentMissingStart(t *testing.T) {
-	c := NewConcurrent(gen.Cycle(4), dropHandler{}, 10)
-	defer c.Close()
-	if _, err := c.Run(77, 0, Header{}, time.Second); !errors.Is(err, graph.ErrNodeNotFound) {
-		t.Fatalf("error = %v", err)
-	}
-}
-
-func TestConcurrentRunAfterClose(t *testing.T) {
-	c := NewConcurrent(gen.Cycle(4), dropHandler{}, 10)
-	c.Close()
-	if _, err := c.Run(0, 0, Header{}, time.Second); err == nil {
-		t.Fatal("run after close should fail")
-	}
-}
-
-func TestConcurrentSequentialRuns(t *testing.T) {
-	// The network is reusable across runs.
-	c := NewConcurrent(gen.Cycle(8), &hopCountHandler{stopAt: 5}, 100)
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		res, err := c.Run(0, 0, Header{}, 5*time.Second)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if !res.Delivered || res.Hops != 5 {
-			t.Fatalf("run %d result = %+v", i, res)
-		}
-	}
-}
-
-// TestConcurrentMultiSession runs several sessions simultaneously over one
-// network — the direct payoff of stateless handlers: sessions share node
-// goroutines with zero coordination and do not interfere.
-func TestConcurrentMultiSession(t *testing.T) {
-	g := gen.Cycle(10)
-	c := NewConcurrent(g, &hopCountHandler{stopAt: 13}, 1000)
-	defer c.Close()
-
-	const sessions = 8
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	results := make([]*Result, sessions)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := c.Run(graph.NodeID(i%g.NumNodes()), 0,
-				Header{Src: graph.NodeID(i), Dir: Forward}, 30*time.Second)
-			results[i], errs[i] = res, err
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		if !results[i].Delivered || results[i].Hops != 13 {
-			t.Fatalf("session %d result = %+v", i, results[i])
-		}
-		// Headers never cross sessions: the Src we injected must be the
-		// Src we got back.
-		if results[i].Header.Src != graph.NodeID(i) {
-			t.Fatalf("session %d got header of session %d", i, results[i].Header.Src)
-		}
-	}
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Stepper advances a token run one hop at a time. It exists for the
-// Corollary 2 composition, which interleaves two routing processes
-// step-for-step and stops as soon as either terminates.
+// Stepper advances a token run one activation at a time: Run is a Stepper
+// driven to the end, and the route driver runs its reference rounds in hop
+// segments on one.
 type Stepper struct {
 	e       *Engine
 	at      graph.NodeID
@@ -91,6 +91,18 @@ func (s *Stepper) Step() bool {
 		if err != nil {
 			s.fail(fmt.Errorf("netsim: send from %d: %w", s.at, err))
 			return true
+		}
+		if e.fault != nil && e.fault(s.res.Hops) {
+			s.fail(fmt.Errorf("%w: at hop %d from node %d", ErrMessageLost, s.res.Hops, s.at))
+			return true
+		}
+		if e.wire {
+			decoded, err := DecodeHeader(s.header.Encode())
+			if err != nil {
+				s.fail(fmt.Errorf("netsim: wire round trip at %d: %w", s.at, err))
+				return true
+			}
+			s.header = decoded
 		}
 		s.at, s.inPort = half.To, half.ToPort
 		s.res.Hops++

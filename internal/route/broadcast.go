@@ -62,9 +62,9 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 		}
 		budget := r.cfg.MemoryBudgetBits
 		if budget == 0 {
-			budget = DefaultMemoryBudget(r.work.NumNodes())
+			budget = DefaultMemoryBudget(r.WorkGraph().NumNodes())
 		}
-		eng := netsim.NewEngine(r.work, &broadcastHandler{seq: seq, originalOf: originalOf},
+		eng := netsim.NewEngine(r.WorkGraph(), &broadcastHandler{seq: seq, originalOf: originalOf},
 			netsim.WithMemoryBudget(budget), netsim.WithTrace(collect))
 		out, err := eng.Run(start, 0, h, 2*int64(seq.Len())+8)
 		stat := RoundStat{Bound: bound, SeqLen: seq.Len()}
@@ -100,22 +100,14 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 		return res
 	}
 
-	if r.cfg.KnownN > 0 {
-		if err := runRound(r.cfg.KnownN); err != nil {
-			return res, err
-		}
-		return finish(), nil
-	}
-	maxBound := r.cfg.MaxBound
-	if maxBound <= 0 {
-		maxBound = 4 * r.work.NumNodes()
-	}
-	for bound := 4; ; bound *= r.cfg.growth() {
-		if bound > maxBound {
-			bound = maxBound
-		}
+	maxBound := r.maxBound()
+	for bound := 0; ; {
+		bound = nextBound(bound, r.cfg.GrowthFactor, maxBound, r.cfg.KnownN)
 		if err := runRound(bound); err != nil {
 			return res, err
+		}
+		if r.cfg.KnownN > 0 {
+			return finish(), nil
 		}
 		covered, err := r.covered(start, bound)
 		if err != nil {

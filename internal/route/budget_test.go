@@ -3,11 +3,13 @@ package route
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/prng"
 )
 
 // disjoint builds the two-component test graph (grid ⊔ cycle).
@@ -217,5 +219,50 @@ func TestRouteBudgetedRejects(t *testing.T) {
 	}
 	if _, err := r.RouteBudgeted(ctx, 4242, 0, 1, nil); !errors.Is(err, graph.ErrNodeNotFound) {
 		t.Fatalf("missing source error = %v", err)
+	}
+}
+
+// TestRouteBudgetedUnboundedEqualsRoute pins that an unbounded RouteBudgeted
+// is Route: the same Result, field for field, on a long-walk unit-disk graph
+// (200 seeded pairs plus its isolated node in both roles) and on every pair
+// of an 8x8 grid.
+func TestRouteBudgetedUnboundedEqualsRoute(t *testing.T) {
+	same := func(t *testing.T, r *Router, s, d graph.NodeID) {
+		t.Helper()
+		want, errWant := r.Route(s, d)
+		got, errGot := r.RouteBudgeted(context.Background(), s, d, 0, nil)
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("route %d->%d: Route err %v, RouteBudgeted err %v", s, d, errWant, errGot)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("route %d->%d diverged:\nRoute:         %+v\nRouteBudgeted: %+v", s, d, want, got)
+		}
+	}
+
+	udg := gen.UDG2D(1024, 0.06, 1).G
+	r := newRouter(t, udg, Config{Seed: 7})
+	isolated := graph.NodeID(-1)
+	for _, v := range udg.SortedNodes() {
+		if udg.Degree(v) == 0 {
+			isolated = v
+			break
+		}
+	}
+	if isolated < 0 {
+		t.Fatal("unit-disk graph has no isolated node")
+	}
+	same(t, r, isolated, 0)
+	same(t, r, 0, isolated)
+	rng := prng.New(1)
+	for range 200 {
+		same(t, r, graph.NodeID(rng.Intn(udg.NumNodes())), graph.NodeID(rng.Intn(udg.NumNodes())))
+	}
+
+	grid := gen.Grid(8, 8)
+	r = newRouter(t, grid, Config{Seed: 7})
+	for _, s := range grid.SortedNodes() {
+		for _, d := range grid.SortedNodes() {
+			same(t, r, s, d)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func (r *Router) PathOf(s graph.NodeID, bound int, forwardSteps int64) ([]graph.
 	path := []graph.NodeID{originalOf(start)}
 	pos := ues.Start(start)
 	for i := int64(1); i <= forwardSteps; i++ {
-		next, err := ues.Step(r.work, pos, seq.At(int(i)))
+		next, err := ues.Step(r.WorkGraph(), pos, seq.At(int(i)))
 		if err != nil {
 			return nil, fmt.Errorf("route: path replay: %w", err)
 		}

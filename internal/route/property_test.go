@@ -3,7 +3,6 @@ package route
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -92,29 +91,6 @@ func TestRouteQuickRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestConcurrentAgreesOnRandomGraphs property-tests that the goroutine
-// engine and the sequential engine compute identical routes.
-func TestConcurrentAgreesOnRandomGraphs(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		src := prng.New(seed)
-		n := src.Intn(8) + 3
-		g := gen.RandomTree(n, seed) // connected, so routes succeed
-		r := newRouter(t, g, Config{Seed: seed})
-		d := graph.NodeID(n - 1)
-		seqRes, err := r.Route(0, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conRes, err := r.RouteConcurrent(0, d, seqRes.Bound, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if conRes.Status != seqRes.Status || conRes.ForwardSteps != seqRes.ForwardSteps {
-			t.Fatalf("seed %d: concurrent %+v != sequential %+v", seed, conRes, seqRes)
-		}
 	}
 }
 

@@ -15,6 +15,17 @@
 // direction to apply. A backward message at P_k carries i = k, the index of
 // the step to undo next; it is delivered as soon as it reaches any gadget
 // node of s.
+//
+// One driver runs every walk: Walker holds the walk's state — a Cursor
+// plus the live round stepper — and runs the doubling schedule (nextBound,
+// shared with Broadcast), each round in hop segments on the compiled flat
+// stepper (flatgraph.RouteStepper.Run) or the netsim reference stepper,
+// and the §4 closure check after a failed round. Route is the driver with
+// no limit, RouteBudgeted restores and mints cursors, Walker.Step advances
+// one activation, and package dynamic plugs an evolving topology in as a
+// Provider consulted at segment ends. The request span travels in the
+// context (trace.FromContext): a sampled span records one child span per
+// round with the walk's hop tail.
 package route
 
 import (
@@ -26,7 +37,6 @@ import (
 	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
-	"repro/internal/trace"
 	"repro/internal/ues"
 )
 
@@ -117,14 +127,6 @@ type Config struct {
 	DisableCertificates bool
 }
 
-// growth returns the sanitized growth factor.
-func (c Config) growth() int {
-	if c.GrowthFactor < 2 {
-		return 2
-	}
-	return c.GrowthFactor
-}
-
 // Router routes messages on a fixed graph. It precomputes the degree
 // reduction once; Route/Broadcast calls are independent and reusable.
 //
@@ -138,8 +140,7 @@ func (c Config) growth() int {
 // no-reduction ablation.
 type Router struct {
 	orig *graph.Graph
-	red  *degred.Reduced // nil iff cfg.NoDegreeReduction
-	work *graph.Graph
+	red  *degred.Reduced  // nil iff cfg.NoDegreeReduction
 	flat *flatgraph.Graph // nil iff cfg.NoDegreeReduction (or disabled)
 	cfg  Config
 }
@@ -193,7 +194,7 @@ type Result struct {
 // callers that already hold a Reduced for g should use NewFromReduced.
 func New(g *graph.Graph, cfg Config) (*Router, error) {
 	if cfg.NoDegreeReduction {
-		return &Router{orig: g, work: g, cfg: cfg}, nil
+		return &Router{orig: g, cfg: cfg}, nil
 	}
 	red, err := degred.Reduce(g)
 	if err != nil {
@@ -205,7 +206,8 @@ func New(g *graph.Graph, cfg Config) (*Router, error) {
 // NewFromReduced builds a Router for g from a precomputed degree reduction
 // of g — the reusable artifact that lets one Reduce serve many routers
 // (and the sibling Counter). red must be the reduction of g; cfg must not
-// also request the no-reduction ablation.
+// also request the no-reduction ablation. g only validates sources: a
+// Provider's snapshot router, which the driver never asks to, may pass nil.
 func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Router, error) {
 	if red == nil {
 		return nil, errors.New("route: NewFromReduced: nil reduction")
@@ -213,12 +215,18 @@ func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Router, e
 	if cfg.NoDegreeReduction {
 		return nil, errors.New("route: NewFromReduced: config disables the degree reduction")
 	}
-	return &Router{orig: g, red: red, work: red.Graph(), flat: red.Flat(), cfg: cfg}, nil
+	return &Router{orig: g, red: red, flat: red.Flat(), cfg: cfg}, nil
 }
 
 // WorkGraph returns the graph actually walked (G′, or G under the
-// ablation). Read-only.
-func (r *Router) WorkGraph() *graph.Graph { return r.work }
+// ablation). Read-only. Only the reference engine and the local replays
+// need it; a delta-compiled snapshot materializes it on first use.
+func (r *Router) WorkGraph() *graph.Graph {
+	if r.red != nil {
+		return r.red.Graph()
+	}
+	return r.orig
+}
 
 // OriginalGraph returns the graph the router was built for. Read-only.
 func (r *Router) OriginalGraph() *graph.Graph { return r.orig }
@@ -234,250 +242,20 @@ func DefaultMemoryBudget(n int) int {
 	return 64*(bits.Len(uint(n))+4) + 512
 }
 
-// Route sends a message from s to t and returns the outcome learned at s.
-// Routing to t == s succeeds trivially with zero hops. t need not exist in
-// the graph — a name outside the component yields StatusFailure, which is
-// the point of guaranteed termination.
-func (r *Router) Route(s, t graph.NodeID) (*Result, error) {
-	return r.route(s, t, nil)
-}
-
-// RouteTraced is Route recording per-round spans and per-hop walk events
-// under sp. Traced rounds stay on the compiled flat path — the
-// instrumented stepper reproduces RouteWalk's exact outcome while feeding
-// the span's hop ring — so tracing never changes which execution path a
-// query takes. A nil (unsampled) span routes identically to Route.
-func (r *Router) RouteTraced(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
-	return r.route(s, t, sp)
-}
-
-func (r *Router) route(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
-	if !r.orig.HasNode(s) {
-		return nil, fmt.Errorf("route: source: %w: %d", graph.ErrNodeNotFound, s)
-	}
-	if s == t {
-		return &Result{Status: netsim.StatusSuccess}, nil
-	}
-	start, err := r.entry(s)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	if cert := r.unreachableCert(start, t); cert != nil {
-		res.Status = netsim.StatusFailure
-		res.Certificate = cert
-		if sp.Recording() {
-			sp.Event("route.certificate",
-				trace.Int("src_component", int64(cert.SrcComponent)),
-				trace.Int("dst_component", int64(cert.DstComponent)),
-				trace.Int("components", int64(cert.Components)))
-		}
-		return res, nil
-	}
-	// runRound executes one round at the given bound. delivered reports
-	// whether the source learned an outcome; with ConfirmRestart a round
-	// can end inconclusively (the confirmation leg exhausted its
-	// sequence), which the doubling loop treats like an uncovered failure.
-	runRound := func(bound int) (st netsim.Status, delivered bool, err error) {
-		seq := r.sequence(bound)
-		if fs, ok := r.flatSeq(seq); ok {
-			return r.flatRound(start, s, t, fs, bound, res, sp)
-		}
-		h := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Status: netsim.StatusNone, Index: 1}
-		eng := netsim.NewEngine(r.work,
-			&routeHandler{seq: seq, originalOf: r.originalOf(), confirm: r.cfg.Confirm},
-			r.engineOptions()...)
-		out, err := eng.Run(start, 0, h, 2*int64(seq.Len())+8)
-		stat := RoundStat{Bound: bound, SeqLen: seq.Len()}
-		if out != nil {
-			stat.Hops = out.Hops
-			res.Hops += out.Hops
-			if out.MaxHeaderBits > res.MaxHeaderBits {
-				res.MaxHeaderBits = out.MaxHeaderBits
-			}
-			if out.PeakMemoryBits > res.PeakMemoryBits {
-				res.PeakMemoryBits = out.PeakMemoryBits
-			}
-		}
-		if err != nil {
-			return netsim.StatusNone, false, err
-		}
-		if !out.Delivered {
-			if r.cfg.Confirm == ConfirmRestart {
-				// Inconclusive: the restart confirmation ran out of
-				// sequence before reaching s.
-				stat.Outcome = netsim.StatusNone
-				res.Rounds = append(res.Rounds, stat)
-				res.Bound = bound
-				return netsim.StatusNone, false, nil
-			}
-			return netsim.StatusNone, false, fmt.Errorf("route: message dropped at %d", out.Final)
-		}
-		stat.Outcome = out.Header.Status
-		if out.Header.Status == netsim.StatusSuccess {
-			// Reconstruct the exploration index at which t was found.
-			// Backtrack: forward steps f and back steps b satisfy
-			// f + b = hops and b = f - indexAtDelivery, so
-			// f = (hops + index) / 2. Restart: the confirmation leg took
-			// index-1 steps after the turnaround reset the index to 1, so
-			// f = hops - (index - 1).
-			if r.cfg.Confirm == ConfirmRestart {
-				res.ForwardSteps = stat.Hops - (out.Header.Index - 1)
-			} else {
-				res.ForwardSteps = (stat.Hops + out.Header.Index) / 2
-			}
-		}
-		if sp.Recording() {
-			sp.Event("route.round.netsim",
-				trace.Int("bound", int64(bound)),
-				trace.Int("hops", stat.Hops),
-				trace.String("outcome", stat.Outcome.String()))
-		}
-		res.Rounds = append(res.Rounds, stat)
-		res.Bound = bound
-		return out.Header.Status, true, nil
-	}
-
-	if r.cfg.KnownN > 0 {
-		st, delivered, err := runRound(r.cfg.KnownN)
-		if err != nil {
-			return res, err
-		}
-		if !delivered {
-			return res, fmt.Errorf("%w: bound %d (restart confirmation inconclusive)",
-				ErrSequenceExhausted, r.cfg.KnownN)
-		}
-		res.Status = st
-		return res, nil
-	}
-
-	maxBound := r.cfg.MaxBound
-	if maxBound <= 0 {
-		maxBound = 4 * r.work.NumNodes()
-	}
-	growth := r.cfg.growth()
-	for bound := 4; ; bound *= growth {
-		if bound > maxBound {
-			bound = maxBound
-		}
-		st, delivered, err := runRound(bound)
-		if err != nil {
-			return res, err
-		}
-		if st == netsim.StatusSuccess {
-			res.Status = st
-			return res, nil
-		}
-		if delivered && st == netsim.StatusFailure {
-			// Failed round: decide whether the failure is definitive by
-			// the §4 closure check — did T_bound cover the source
-			// component?
-			covered, err := r.covered(start, bound)
-			if err != nil {
-				return res, err
-			}
-			if sp.Recording() {
-				sp.Event("route.cover_check",
-					trace.Int("bound", int64(bound)), trace.Bool("covered", covered))
-			}
-			res.Rounds[len(res.Rounds)-1].Covered = covered
-			if covered {
-				res.Status = netsim.StatusFailure
-				return res, nil
-			}
-		}
-		if bound >= maxBound {
-			return res, fmt.Errorf("%w: bound %d", ErrSequenceExhausted, bound)
-		}
-	}
-}
-
-// flatRound runs one round on the compiled flat walker and folds its
-// outcome into res exactly as the reference round does: same RoundStat,
-// same hop totals, same header-size and memory-metering statistics, same
-// forward-steps reconstruction.
-func (r *Router) flatRound(start, s, t graph.NodeID, fs flatgraph.Seq, bound int, res *Result, sp *trace.Span) (netsim.Status, bool, error) {
-	si, ok := r.flat.Index(start)
-	if !ok {
-		return netsim.StatusNone, false, fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, start)
-	}
-	var out flatgraph.RouteOutcome
-	var err error
-	if sp.Recording() {
-		out, err = r.flatRoundTraced(si, s, t, fs, bound, sp)
-	} else {
-		out, err = r.flat.RouteWalk(si, s, t, fs)
-	}
-	stat := RoundStat{Bound: bound, SeqLen: fs.Length, Hops: out.Hops}
-	res.Hops += out.Hops
-	// The largest header any activation observes carries the walk's peak
-	// index; src, dst, and the dir/status byte are size-constant across the
-	// round, so one evaluation at the peak index reproduces the reference's
-	// per-activation maximum.
-	hb := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: out.MaxIndex}.Bits()
-	if hb > res.MaxHeaderBits {
-		res.MaxHeaderBits = hb
-	}
-	if out.PeakMemoryBits > res.PeakMemoryBits {
-		res.PeakMemoryBits = out.PeakMemoryBits
-	}
-	if err != nil {
-		return netsim.StatusNone, false, fmt.Errorf("route: flat walk: %w", err)
-	}
-	st := netsim.StatusFailure
-	if out.Success {
-		st = netsim.StatusSuccess
-		// Same reconstruction as the reference: forward steps f and back
-		// steps b satisfy f + b = hops and b = f - indexAtDelivery.
-		res.ForwardSteps = (out.Hops + out.DeliveredIndex) / 2
-	}
-	stat.Outcome = st
-	res.Rounds = append(res.Rounds, stat)
-	res.Bound = bound
-	return st, true, nil
-}
-
-// flatRoundTraced runs one flat round hop-at-a-time on the instrumented
-// stepper, recording a child span whose hop ring keeps the tail of the
-// walk. The stepper's metering replica makes its Outcome identical to
-// RouteWalk's, so tracing is invisible in the Result.
-func (r *Router) flatRoundTraced(si int32, s, t graph.NodeID, fs flatgraph.Seq, bound int, sp *trace.Span) (flatgraph.RouteOutcome, error) {
-	rsp := sp.Child("route.round")
-	defer rsp.End()
-	rsp.SetAttr(trace.Int("bound", int64(bound)), trace.Int("seq_len", int64(fs.Length)))
-	st, err := r.flat.RouteStepper(si, s, t, fs)
-	if err != nil {
-		return flatgraph.RouteOutcome{}, err
-	}
-	st.Instrument(func(node graph.NodeID, index int64, backward bool) {
-		rsp.Hop(trace.HopEvent{
-			Node:       int64(node),
-			Index:      index,
-			HeaderBits: int32(netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: index}.Bits()),
-			Backward:   backward,
-		})
-	})
-	for !st.Step() {
-	}
-	out := st.Outcome()
-	rsp.SetAttr(trace.Bool("success", out.Success), trace.Int("hops", out.Hops))
-	return out, st.Err()
-}
-
-// unreachableCert answers the reachability question from the memoized
-// component index: a non-nil certificate proves start's component can never
-// contain a gadget of t, so the walk's verdict is StatusFailure before the
-// first hop. Soundness rests on the theta gadget being internally
-// connected — every gadget node of t shares the component of t's entry.
-// Returns nil (walk normally) when t is reachable, the ablation is active,
-// or certificates are disabled.
+// Certificate answers the reachability question from the memoized
+// component index: a non-nil certificate proves the component of s's entry
+// can never contain a gadget of t, so the walk's verdict is StatusFailure
+// before the first hop. Soundness rests on the theta gadget being
+// internally connected — every gadget node of t shares the component of
+// t's entry. Returns nil (walk normally) when t is reachable, the ablation
+// is active, or certificates are disabled.
 //
 // Certificates only fire on multi-component graphs. On a single-component
 // graph every existing target is reachable, and a name with no gadget is
 // only provably absent once the walk covers the component — the early-out
 // keeps the reachable hot path at two loads and keeps the static and
 // dynamic routers answer-for-answer identical.
-func (r *Router) unreachableCert(start graph.NodeID, t graph.NodeID) *Certificate {
+func (r *Router) Certificate(s, t graph.NodeID) *Certificate {
 	if r.cfg.DisableCertificates || r.flat == nil {
 		return nil
 	}
@@ -485,25 +263,26 @@ func (r *Router) unreachableCert(start graph.NodeID, t graph.NodeID) *Certificat
 	if comps.Count() == 1 {
 		return nil
 	}
-	si, ok := r.flat.Index(start)
+	se, ok := r.red.Entry(s)
 	if !ok {
 		return nil
 	}
-	sc := comps.Of(si)
-	te, ok := r.red.Entry(t)
+	si, ok := r.flat.Index(se)
 	if !ok {
-		// t is not a node of the graph at all: unreachable by definition.
-		return &Certificate{SrcComponent: sc, DstComponent: -1, Components: comps.Count()}
-	}
-	ti, ok := r.flat.Index(te)
-	if !ok {
-		return &Certificate{SrcComponent: sc, DstComponent: -1, Components: comps.Count()}
-	}
-	tc := comps.Of(ti)
-	if tc == sc {
 		return nil
 	}
-	return &Certificate{SrcComponent: sc, DstComponent: tc, Components: comps.Count()}
+	cert := &Certificate{SrcComponent: comps.Of(si), DstComponent: -1, Components: comps.Count()}
+	// A t with no gadget is not a node of the graph at all: unreachable by
+	// definition.
+	if te, ok := r.red.Entry(t); ok {
+		if ti, ok := r.flat.Index(te); ok {
+			cert.DstComponent = comps.Of(ti)
+		}
+	}
+	if cert.DstComponent == cert.SrcComponent {
+		return nil
+	}
+	return cert
 }
 
 // entry maps an original node to its walk entry point.
@@ -521,20 +300,30 @@ func (r *Router) entry(s graph.NodeID) (graph.NodeID, error) {
 	return e, nil
 }
 
-// originalOf returns the gadget-to-original projection (identity under the
-// ablation).
-func (r *Router) originalOf() func(graph.NodeID) graph.NodeID {
-	if r.red == nil {
-		return func(v graph.NodeID) graph.NodeID { return v }
-	}
-	red := r.red
-	return func(v graph.NodeID) graph.NodeID {
-		o, ok := red.Original(v)
-		if !ok {
-			return v
+// original projects a work-graph node to the original node it simulates
+// (identity under the ablation).
+func (r *Router) original(v graph.NodeID) graph.NodeID {
+	if r.red != nil {
+		if o, ok := r.red.Original(v); ok {
+			return o
 		}
-		return o
 	}
+	return v
+}
+
+// originalOf returns the gadget-to-original projection.
+func (r *Router) originalOf() func(graph.NodeID) graph.NodeID { return r.original }
+
+// maxBound is the doubling loop's cap: Config.MaxBound, or 4·|V(G′)|,
+// always sufficient for a universal sequence.
+func (r *Router) maxBound() int {
+	if r.cfg.MaxBound > 0 {
+		return r.cfg.MaxBound
+	}
+	if r.flat != nil {
+		return 4 * r.flat.NumNodes()
+	}
+	return 4 * r.WorkGraph().NumNodes()
 }
 
 // sequence returns T_bound for this protocol instance, in the compiled
@@ -557,16 +346,27 @@ func (r *Router) sequence(bound int) ues.Sequence {
 	return p.Compiled()
 }
 
+// flatPath reports whether this configuration lets rounds run on the
+// compiled flat walker: the reference engine keeps every round whose
+// instrumentation is requested (tracing callbacks, fault injection, wire
+// format, custom memory budgets, restart confirmation, the ablation).
+func (r *Router) flatPath() bool {
+	return r.flat != nil && !r.cfg.DisableFlat && r.cfg.Confirm == ConfirmBacktrack &&
+		r.cfg.Trace == nil && r.cfg.FaultHook == nil && !r.cfg.WireFormat && r.cfg.MemoryBudgetBits == 0
+}
+
 // flatSeq decides whether a round over seq may run on the compiled flat
-// walker, and derives its inlined sequence form if so. The reference
-// engine keeps the round whenever its instrumentation is requested or the
-// sequence is not PRF-backed.
+// walker, and derives its inlined sequence form if so.
 func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
-	if r.flat == nil || r.cfg.DisableFlat || r.cfg.NoDegreeReduction ||
-		r.cfg.Confirm != ConfirmBacktrack || r.cfg.Trace != nil ||
-		r.cfg.FaultHook != nil || r.cfg.WireFormat || r.cfg.MemoryBudgetBits != 0 {
+	if !r.flatPath() {
 		return flatgraph.Seq{}, false
 	}
+	return prfSeq(seq)
+}
+
+// prfSeq derives the inlined form of a PRF-backed base-3 sequence; other
+// sequences have none.
+func prfSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
 	prf, ok := seq.(ues.PRFBacked)
 	if !ok {
 		return flatgraph.Seq{}, false
@@ -581,7 +381,7 @@ func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
 func (r *Router) engineOptions() []netsim.Option {
 	budget := r.cfg.MemoryBudgetBits
 	if budget == 0 {
-		budget = DefaultMemoryBudget(r.work.NumNodes())
+		budget = DefaultMemoryBudget(r.WorkGraph().NumNodes())
 	}
 	opts := []netsim.Option{netsim.WithMemoryBudget(budget)}
 	if r.cfg.Trace != nil {
@@ -615,10 +415,11 @@ func (r *Router) covered(start graph.NodeID, bound int) (bool, error) {
 		}
 		return r.flat.Closed(visited), nil
 	}
+	work := r.WorkGraph()
 	visited := map[graph.NodeID]bool{start: true}
 	pos := ues.Start(start)
 	for i := 1; i <= seq.Len(); i++ {
-		next, err := ues.Step(r.work, pos, seq.At(i))
+		next, err := ues.Step(work, pos, seq.At(i))
 		if err != nil {
 			return false, fmt.Errorf("route: cover check: %w", err)
 		}
@@ -626,8 +427,8 @@ func (r *Router) covered(start graph.NodeID, bound int) (bool, error) {
 		visited[pos.Node] = true
 	}
 	for v := range visited {
-		for p := 0; p < r.work.Degree(v); p++ {
-			h, err := r.work.Neighbor(v, p)
+		for p := 0; p < work.Degree(v); p++ {
+			h, err := work.Neighbor(v, p)
 			if err != nil {
 				return false, err
 			}
@@ -681,6 +482,11 @@ func (rh *routeHandler) OnMessage(self graph.NodeID, inPort, degree int, h *nets
 		// "if dir = back and v = s: return status".
 		if selfOrig == h.Src {
 			return netsim.Decision{Kind: netsim.Deliver}, nil
+		}
+		if h.Index < 1 {
+			// Only churn strands a confirmation like this: on a fixed graph
+			// the unwind reaches the source at index 0 at the latest.
+			return netsim.Decision{}, flatgraph.ErrUnwound
 		}
 		t := rh.seq.At(int(h.Index))
 		if err := charge(mem, int64(t)); err != nil {

@@ -3,7 +3,6 @@ package route
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -313,37 +312,6 @@ func TestRouteLabelingInvariance(t *testing.T) {
 		if res.Status != netsim.StatusSuccess {
 			t.Fatalf("labeling %d: delivery failed", seed)
 		}
-	}
-}
-
-func TestRouteConcurrentMatchesSequential(t *testing.T) {
-	g := gen.Grid(3, 3)
-	r := newRouter(t, g, Config{Seed: 7})
-	seq, err := r.Route(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	con, err := r.RouteConcurrent(0, 8, seq.Bound, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if con.Status != netsim.StatusSuccess {
-		t.Fatalf("concurrent status = %v", con.Status)
-	}
-	if con.Hops != seq.Rounds[len(seq.Rounds)-1].Hops {
-		t.Fatalf("concurrent hops %d != sequential terminal round hops %d",
-			con.Hops, seq.Rounds[len(seq.Rounds)-1].Hops)
-	}
-	if con.ForwardSteps != seq.ForwardSteps {
-		t.Fatalf("forward steps differ: %d vs %d", con.ForwardSteps, seq.ForwardSteps)
-	}
-}
-
-func TestRouteConcurrentSelf(t *testing.T) {
-	r := newRouter(t, gen.Cycle(4), Config{Seed: 1})
-	res, err := r.RouteConcurrent(1, 1, 8, time.Second)
-	if err != nil || res.Status != netsim.StatusSuccess {
-		t.Fatalf("self concurrent route = %+v, %v", res, err)
 	}
 }
 

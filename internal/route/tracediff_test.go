@@ -1,12 +1,13 @@
 package route
 
 // tracediff_test.go pins the tracing contract: a traced route runs on the
-// compiled flat path (the instrumented stepper, never the netsim
+// compiled flat path (the flat stepper feeding a hop sink, never the netsim
 // fallback) and returns a Result bit-for-bit identical to the untraced
 // one — verdict, hops, forward steps, round schedule, header and memory
 // metering — while the span tree captures every hop of every round.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ func diffTraced(t *testing.T, g *graph.Graph, cfg Config, s, dst graph.NodeID) t
 
 	tc := trace.New(trace.Config{SampleRate: 1})
 	tr := tc.StartRequest("route", "")
-	traced, errTraced := r.RouteTraced(s, dst, tr.Root())
+	traced, errTraced := r.RouteBudgeted(trace.NewContext(context.Background(), tr.Root()), s, dst, 0, nil)
 	tr.Finish()
 
 	if (errPlain == nil) != (errTraced == nil) {
