@@ -1,7 +1,7 @@
 package adhocroute
 
-// bench_test.go holds one benchmark per experiment in the DESIGN.md index
-// (F1, E1–E9) — each bench runs the corresponding harness runner in quick
+// bench_test.go holds one benchmark per experiment in the exp.Runners
+// index (F1, E1–E10, A1–A5) — each bench runs that runner in quick
 // mode — plus micro-benchmarks for the core operations (sequence oracle,
 // walk step, degree reduction, header codec, routing on standard
 // families). Regenerate the full tables with: go run ./cmd/experiments
@@ -49,7 +49,7 @@ func BenchmarkE9Hybrid(b *testing.B)          { runExperiment(b, "E9") }
 // loss + churn robustness).
 func BenchmarkE10StaticAssumption(b *testing.B) { runExperiment(b, "E10") }
 
-// Ablation benches (DESIGN.md §5).
+// Ablation benches (A1–A5).
 func BenchmarkA1ConfirmMode(b *testing.B)         { runExperiment(b, "A1") }
 func BenchmarkA2GrowthFactor(b *testing.B)        { runExperiment(b, "A2") }
 func BenchmarkA3LengthFactor(b *testing.B)        { runExperiment(b, "A3") }

@@ -60,10 +60,14 @@ func TestScaleSweepSmall(t *testing.T) {
 // TestScale100kSmoke proves interactive-rate epoch advances on a
 // 100k-node world: the delta path must recompile in well under a second
 // and beat the forced full rebuild by a wide margin. Skipped under -short
-// (the twin full-compile world makes this a multi-second test).
+// (the twin full-compile world makes this a multi-second test) and under
+// the race detector, whose slowdown alone breaks the 250 ms bound.
 func TestScale100kSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node scaling smoke skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock scaling smoke skipped under the race detector")
 	}
 	st, err := scaleCell(100_000, 5, 8, 13)
 	if err != nil {

@@ -1,5 +1,6 @@
-// Command experiments regenerates every table and figure in EXPERIMENTS.md
-// (F1, E1–E11, A1–A5), writing Markdown and CSV into a results directory.
+// Command experiments regenerates every experiment table in the exp.Runners
+// index (F1, E1–E11, A1–A5), writing Markdown and CSV into a results
+// directory.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package adhocroute_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -43,7 +44,7 @@ func TestDocLinks(t *testing.T) {
 				strings.HasPrefix(target, "#"):
 				continue
 			}
-			// Strip an in-file anchor: FILE.md#section checks FILE.md.
+			// Strip an in-file anchor: a #section suffix checks the file.
 			if i := strings.IndexByte(target, '#'); i >= 0 {
 				target = target[:i]
 			}
@@ -64,8 +65,11 @@ func TestDocLinks(t *testing.T) {
 }
 
 // TestDocsReferencedFilesExist pins the repo files the prose leans on by
-// backtick mention rather than by link — benchmark records and the
-// PR history — so a doc rot (renamed artifact) fails fast.
+// mention rather than by link, so a doc rot (renamed artifact) fails fast:
+// the benchmark records and the change log the docs name in backticks, and
+// every markdown document a Go file names, which must exist at the repo
+// root or under docs/. The files cmd/experiments writes into its results
+// directory (ALL.md and one per experiment ID) are outputs, not documents.
 func TestDocsReferencedFilesExist(t *testing.T) {
 	benchRef := regexp.MustCompile("`(BENCH_PR[0-9]+\\.json|CHANGES\\.md|ROADMAP\\.md|PAPER\\.md)`")
 	for _, file := range docFiles(t) {
@@ -78,5 +82,43 @@ func TestDocsReferencedFilesExist(t *testing.T) {
 				t.Errorf("%s mentions %s which does not exist", file, m[1])
 			}
 		}
+	}
+
+	// Documents have all-caps names; experiment outputs carry a digit.
+	goRef := regexp.MustCompile(`\b[A-Z][A-Z_]*\.md\b`)
+	outputs := map[string]bool{"ALL.md": true}
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git and the benchmark's build caches
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range goRef.FindAllString(string(data), -1) {
+			if outputs[name] {
+				continue
+			}
+			checked++
+			_, atRoot := os.Stat(name)
+			_, inDocs := os.Stat(filepath.Join("docs", name))
+			if atRoot != nil && inDocs != nil {
+				t.Errorf("%s mentions %s, which is neither at the repo root nor under docs/", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown mentions found in Go files — the matcher or the walk is broken")
 	}
 }

@@ -9,7 +9,8 @@ type Runner struct {
 	Run  func(Options) (*Table, error)
 }
 
-// Runners lists every experiment in DESIGN.md order.
+// Runners is the experiment index: the figure (F1), the evaluations
+// (E1–E11), then the ablations (A1–A5).
 func Runners() []Runner {
 	return []Runner{
 		{ID: "F1", Name: "degree reduction", Run: F1DegreeReduction},

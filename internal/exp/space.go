@@ -143,7 +143,7 @@ func E8ZigZag(o Options) (*Table, error) {
 		}
 	}
 	t.AddNote("Squaring squares λ exactly (powering-only rows) but raises the degree to 256; the zig-zag step returns to degree 16, keeping a strict gap improvement per level.")
-	t.AddNote("Measured transform λ respects the RVW bound f(λ(G²), λ(H)); full constant-gap convergence needs the galactically large auxiliary expander of Reingold's proof — see DESIGN.md §2.")
+	t.AddNote("Measured transform λ respects the RVW bound f(λ(G²), λ(H)); full constant-gap convergence needs the galactically large auxiliary expander of Reingold's proof — see the faithfulness note of package internal/zigzag.")
 	t.AddNote("H is a 4-regular near-Ramanujan graph on 256 vertices found by deterministic seed search.")
 	return t, nil
 }

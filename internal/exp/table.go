@@ -1,10 +1,11 @@
-// Package exp is the experiment harness: one runner per experiment in
-// DESIGN.md's index (F1, E1–E11, A1–A5), each producing a Table that cmd/experiments
-// renders to Markdown and CSV, and that bench_test.go wraps as benchmarks.
+// Package exp is the experiment harness: one runner per experiment in the
+// Runners index (F1, E1–E11, A1–A5), each producing a Table that
+// cmd/experiments renders to Markdown and CSV, and that bench_test.go wraps
+// as benchmarks.
 //
 // The paper is a theory note with a single figure and no evaluation tables;
-// the experiments operationalize each claim of the text (see DESIGN.md §4
-// for the mapping from experiment ID to paper anchor).
+// the experiments operationalize each claim of the text, and each Table's
+// Anchor names the claim its experiment reproduces.
 package exp
 
 import (

@@ -21,6 +21,11 @@
 //   - the walkers optionally prefetch direction blocks so the sequence
 //     oracle is amortized across hops.
 //
+// Two walkers remain. RouteStepper.Run is the one metered, resumable hop
+// loop: every route and broadcast round of package route runs on it, and
+// RouteWalk is one unbounded Run. CoverWalk is the unmetered local walk
+// behind the §4 closure check and the counting walks.
+//
 // Concurrency contract: a compiled Graph is immutable after Compile and
 // safe for any number of concurrent walkers — every walk loop works
 // exclusively on its caller's stack plus the shared read-only arrays. The

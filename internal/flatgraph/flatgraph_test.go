@@ -177,14 +177,12 @@ func TestWalkRejectsIrregular(t *testing.T) {
 	if _, err := f.RouteWalk(0, 0, 1, seq); err != flatgraph.ErrNotRegular {
 		t.Fatalf("RouteWalk on cycle: %v", err)
 	}
-	if _, err := f.BroadcastWalk(0, 0, seq, make([]bool, f.NumNodes())); err != flatgraph.ErrNotRegular {
-		t.Fatalf("BroadcastWalk on cycle: %v", err)
-	}
 	if _, err := f.CoverWalk(0, seq, make([]bool, f.NumNodes()), nil); err != flatgraph.ErrNotRegular {
 		t.Fatalf("CoverWalk on cycle: %v", err)
 	}
-	if _, err := f.RouteStepper(0, 0, 1, seq); err != flatgraph.ErrNotRegular {
-		t.Fatalf("RouteStepper on cycle: %v", err)
+	var st flatgraph.RouteStepper
+	if err := st.Reset(f, 0, 0, 0, 1, seq, 1, false, false); err != flatgraph.ErrNotRegular {
+		t.Fatalf("RouteStepper.Reset on cycle: %v", err)
 	}
 }
 
@@ -229,8 +227,8 @@ func TestStepperMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.RouteStepper(entry, 0, dst, seq)
-		if err != nil {
+		var st flatgraph.RouteStepper
+		if err := st.Reset(f, entry, 0, 0, dst, seq, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
 		steps := 0
@@ -266,8 +264,8 @@ func TestInstrumentedStepperMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.RouteStepper(entry, 0, dst, seq)
-		if err != nil {
+		var st flatgraph.RouteStepper
+		if err := st.Reset(f, entry, 0, 0, dst, seq, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
 		var hops int64

@@ -54,16 +54,6 @@ type HopSink func(node graph.NodeID, index int64, backward bool)
 // Instrument attaches a hop sink (nil detaches it).
 func (st *RouteStepper) Instrument(sink HopSink) { st.sink = sink }
 
-// RouteStepper starts a route round at the given dense start node,
-// searching for dst and confirming back to src.
-func (f *Graph) RouteStepper(start int32, src, dst graph.NodeID, seq Seq) (*RouteStepper, error) {
-	st := new(RouteStepper)
-	if err := st.Reset(f, start, 0, src, dst, seq, 1, false, false); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // Reset re-arms st as a round of f standing at (node, inPort) with the
 // given header state — the index into the sequence, the direction, and the
 // verdict so far — and fresh metering. This is the resumption the paper's

@@ -80,106 +80,6 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 	return st.Outcome(), st.Err()
 }
 
-// BroadcastOutcome reports one completed flat broadcast round.
-type BroadcastOutcome struct {
-	// Hops is the total edge traversals, forward and backward.
-	Hops int64
-	// MaxIndex is the largest header index any activation observed.
-	MaxIndex int64
-	// PeakMemoryBits replicates the reference's memory metering peak.
-	PeakMemoryBits int
-}
-
-// BroadcastWalk runs one full broadcast round: the complete forward
-// exploration (marking every visited node in the dense visited set, which
-// must have length NumNodes) followed by the backtracking confirmation to
-// the first node simulating src. The marking matches the reference's
-// trace-based collection: every position of the forward walk, including the
-// start and the turnaround node.
-func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []bool) (BroadcastOutcome, error) {
-	if !f.regular3 || seq.Base != 3 {
-		return BroadcastOutcome{}, ErrNotRegular
-	}
-	var (
-		out    BroadcastOutcome
-		dirs   [dirBlock]int8
-		node   = start
-		inPort = int32(0)
-		L      = int64(seq.Length)
-		peak   = 0
-		hops   = int64(0)
-	)
-	visited[node] = true
-	// Forward phase: exactly L steps — broadcast has no destination check.
-	for i := int64(1); i <= L; {
-		bLen := int64(dirBlock)
-		if rem := L - i + 1; rem < bLen {
-			bLen = rem
-		}
-		seq.Fill(dirs[:bLen], i)
-		for k := int64(0); k < bLen; k++ {
-			t := int32(dirs[k])
-			if s := int(f.memw[node]) + int(inPort) + 4 + wordBits(i+k) + int(t) + 1; s > peak {
-				peak = s
-			}
-			exit := inPort + t
-			if exit >= 3 {
-				exit -= 3
-			}
-			h := f.halves[node*3+exit]
-			node, inPort = h.To, h.Port
-			visited[node] = true
-		}
-		i += bLen
-		hops += bLen
-	}
-	out.MaxIndex = L + 1
-	if act := int(f.memw[node]) + int(inPort) + 4 + wordBits(L+1); act > peak {
-		peak = act // turnaround activation
-	}
-
-	// Turnaround + backward confirmation, exactly as in RouteWalk.
-	j := L
-	h := f.halves[node*3+inPort]
-	node, inPort = h.To, h.Port
-	hops++
-	bLow := j + 1
-	for {
-		act := int(f.memw[node]) + int(inPort) + 4 + wordBits(j)
-		if f.orig[node] == src {
-			if act > peak {
-				peak = act
-			}
-			break
-		}
-		if j < 1 {
-			return out, ErrUnwound
-		}
-		if j < bLow {
-			bLow = j - dirBlock + 1
-			if bLow < 1 {
-				bLow = 1
-			}
-			seq.Fill(dirs[:j-bLow+1], bLow)
-		}
-		t := int32(dirs[j-bLow])
-		if s := act + int(t) + 1; s > peak {
-			peak = s
-		}
-		exit := inPort - t
-		if exit < 0 {
-			exit += 3
-		}
-		h := f.halves[node*3+exit]
-		node, inPort = h.To, h.Port
-		j--
-		hops++
-	}
-	out.Hops = hops
-	out.PeakMemoryBits = peak
-	return out, nil
-}
-
 // CoverWalk walks seq from (start, port 0) to its end, marking every
 // visited node in the dense visited set (length NumNodes). If order is
 // non-nil, dense indices are appended in first-visit order (starting with

@@ -149,7 +149,7 @@ func TestFaultInjectionFailsLoudly(t *testing.T) {
 	seq := red.sequence(4)
 	_ = seq
 	eng := netsim.NewEngine(red.WorkGraph(),
-		&routeHandler{seq: red.sequence(red.WorkGraph().NumNodes()), originalOf: red.originalOf()},
+		&routeHandler{seq: red.sequence(red.WorkGraph().NumNodes()), originalOf: red.original},
 		netsim.WithFault(func(hop int64) bool { return hop == dropAt }))
 	start, errEntry := red.entry(0)
 	if errEntry != nil {

@@ -1,13 +1,11 @@
 package route
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
-	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
-	"repro/internal/ues"
 )
 
 // BroadcastResult is the outcome of a Broadcast call.
@@ -30,10 +28,13 @@ type BroadcastResult struct {
 }
 
 // Broadcast delivers a message from s to every node of s's connected
-// component (the paper's broadcasting problem): the same exploration walk,
-// delivering the payload at every node it visits, with the backtracking
-// confirmation telling s the walk completed. The doubling loop stops once
-// the walk provably covered the component (§4 closure check).
+// component (the paper's broadcasting problem). It is Algorithm Route
+// without a destination: a Walker searches for a name no node carries,
+// so every round walks T_bound to its end, delivering the payload
+// at every node it visits, and backtracks the confirmation to s; the §4
+// closure check stops the doubling schedule once the walk provably covered
+// the component, and its visited set is the reached set. A promised bound
+// (KnownN) runs no closure check, so its one round is replayed locally.
 func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 	if !r.orig.HasNode(s) {
 		return nil, fmt.Errorf("route: source: %w: %d", graph.ErrNodeNotFound, s)
@@ -42,159 +43,42 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &BroadcastResult{}
-	reached := map[graph.NodeID]bool{s: true}
-	originalOf := r.originalOf()
-
-	runRound := func(bound int) error {
-		seq := r.sequence(bound)
-		if fs, ok := r.flatSeq(seq); ok {
-			return r.flatBroadcastRound(start, s, fs, bound, res, reached)
-		}
-		h := netsim.Header{Src: s, Dir: netsim.Forward, Status: netsim.StatusNone, Index: 1}
-		collect := func(hop int64, at graph.NodeID, inPort int, hd netsim.Header) {
-			if hd.Dir == netsim.Forward {
-				reached[originalOf(at)] = true
-			}
-			if r.cfg.Trace != nil {
-				r.cfg.Trace(hop, at, inPort, hd)
-			}
-		}
-		budget := r.cfg.MemoryBudgetBits
-		if budget == 0 {
-			budget = DefaultMemoryBudget(r.WorkGraph().NumNodes())
-		}
-		eng := netsim.NewEngine(r.WorkGraph(), &broadcastHandler{seq: seq, originalOf: originalOf},
-			netsim.WithMemoryBudget(budget), netsim.WithTrace(collect))
-		out, err := eng.Run(start, 0, h, 2*int64(seq.Len())+8)
-		stat := RoundStat{Bound: bound, SeqLen: seq.Len()}
-		if out != nil {
-			stat.Hops = out.Hops
-			res.Hops += out.Hops
-			if out.MaxHeaderBits > res.MaxHeaderBits {
-				res.MaxHeaderBits = out.MaxHeaderBits
-			}
-			if out.PeakMemoryBits > res.PeakMemoryBits {
-				res.PeakMemoryBits = out.PeakMemoryBits
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if !out.Delivered {
-			return fmt.Errorf("route: broadcast confirmation dropped at %d", out.Final)
-		}
-		stat.Outcome = out.Header.Status
-		res.Rounds = append(res.Rounds, stat)
-		res.Bound = bound
-		return nil
+	if r.cfg.Confirm != ConfirmBacktrack {
+		br := *r
+		br.cfg.Confirm = ConfirmBacktrack
+		r = &br
 	}
-
-	finish := func() *BroadcastResult {
-		res.Nodes = make([]graph.NodeID, 0, len(reached))
-		for v := range reached {
-			res.Nodes = append(res.Nodes, v)
-		}
-		sort.Slice(res.Nodes, func(i, j int) bool { return res.Nodes[i] < res.Nodes[j] })
-		res.Reached = len(res.Nodes)
-		return res
+	nowhere := graph.NodeID(-1)
+	for r.orig.HasNode(nowhere) {
+		nowhere--
 	}
-
-	maxBound := r.maxBound()
-	for bound := 0; ; {
-		bound = nextBound(bound, r.cfg.GrowthFactor, maxBound, r.cfg.KnownN)
-		if err := runRound(bound); err != nil {
-			return res, err
-		}
-		if r.cfg.KnownN > 0 {
-			return finish(), nil
-		}
-		covered, err := r.covered(start, bound)
-		if err != nil {
-			return res, err
-		}
-		res.Rounds[len(res.Rounds)-1].Covered = covered
-		if covered {
-			return finish(), nil
-		}
-		if bound >= maxBound {
-			return res, fmt.Errorf("%w: bound %d", ErrSequenceExhausted, bound)
+	// Walking directly skips the certificate check, which would answer a
+	// name outside the graph without a walk.
+	w := &Walker{r: r, cur: Cursor{Src: s, Dst: nowhere}, res: &Result{}}
+	res, err := w.walk(context.Background(), 0, nil)
+	if res == nil {
+		return nil, err
+	}
+	out := &BroadcastResult{Hops: res.Hops, Rounds: res.Rounds, Bound: res.Bound, PeakMemoryBits: res.PeakMemoryBits}
+	for i := range out.Rounds {
+		if out.Rounds[i].Outcome == netsim.StatusFailure {
+			out.Rounds[i].Outcome = netsim.StatusSuccess // the walk ran to its end and s heard back
 		}
 	}
-}
-
-// flatBroadcastRound runs one broadcast round on the compiled flat walker:
-// the full forward exploration with dense visit marking instead of the
-// reference's per-hop trace callback, then the backtracking confirmation.
-// Statistics fold into res exactly as the reference round's do, and the
-// visited set merges into reached through the gadget projection.
-func (r *Router) flatBroadcastRound(start, s graph.NodeID, fs flatgraph.Seq, bound int, res *BroadcastResult, reached map[graph.NodeID]bool) error {
-	si, ok := r.flat.Index(start)
-	if !ok {
-		return fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, start)
-	}
-	visited := make([]bool, r.flat.NumNodes())
-	out, err := r.flat.BroadcastWalk(si, s, fs, visited)
-	res.Hops += out.Hops
-	hb := netsim.Header{Src: s, Dir: netsim.Forward, Index: out.MaxIndex}.Bits()
-	if hb > res.MaxHeaderBits {
-		res.MaxHeaderBits = hb
-	}
-	if out.PeakMemoryBits > res.PeakMemoryBits {
-		res.PeakMemoryBits = out.PeakMemoryBits
-	}
+	// A broadcast header names no destination, and the terminal round's
+	// turnaround carries the largest index, L+1.
+	last := out.Rounds[len(out.Rounds)-1]
+	out.MaxHeaderBits = netsim.Header{Src: s, Dir: netsim.Forward, Index: int64(last.SeqLen) + 1}.Bits()
 	if err != nil {
-		return fmt.Errorf("route: flat broadcast: %w", err)
+		return out, err
 	}
-	for i, v := range visited {
-		if v {
-			reached[r.flat.OriginalOf(int32(i))] = true
+	cover := w.cover
+	if r.cfg.KnownN > 0 {
+		if cover, err = r.cover(start, res.Bound); err != nil {
+			return out, err
 		}
 	}
-	res.Rounds = append(res.Rounds, RoundStat{
-		Bound: bound, SeqLen: fs.Length, Hops: out.Hops, Outcome: netsim.StatusSuccess,
-	})
-	res.Bound = bound
-	return nil
-}
-
-// broadcastHandler walks the full sequence forward (delivering the payload
-// at every visited node as a side effect of the visit itself) and
-// backtracks the completion confirmation to s.
-type broadcastHandler struct {
-	seq        ues.Sequence
-	originalOf func(graph.NodeID) graph.NodeID
-}
-
-// OnMessage mirrors routeHandler without the destination check.
-func (bh *broadcastHandler) OnMessage(self graph.NodeID, inPort, degree int, h *netsim.Header, mem *netsim.Memory) (netsim.Decision, error) {
-	selfOrig := bh.originalOf(self)
-	if err := charge(mem, int64(self), int64(selfOrig), int64(inPort), int64(degree), h.Index); err != nil {
-		return netsim.Decision{}, err
-	}
-	if h.Dir == netsim.Backward {
-		if selfOrig == h.Src {
-			return netsim.Decision{Kind: netsim.Deliver}, nil
-		}
-		t := bh.seq.At(int(h.Index))
-		if err := charge(mem, int64(t)); err != nil {
-			return netsim.Decision{}, err
-		}
-		out := ues.PrevPort(degree, inPort, t)
-		h.Index--
-		return netsim.Decision{Kind: netsim.Send, OutPort: out}, nil
-	}
-	if int(h.Index) > bh.seq.Len() {
-		h.Dir = netsim.Backward
-		h.Status = netsim.StatusSuccess
-		h.Index--
-		return netsim.Decision{Kind: netsim.Send, OutPort: inPort}, nil
-	}
-	t := bh.seq.At(int(h.Index))
-	if err := charge(mem, int64(t)); err != nil {
-		return netsim.Decision{}, err
-	}
-	out := ues.NextPort(degree, inPort, t)
-	h.Index++
-	return netsim.Decision{Kind: netsim.Send, OutPort: out}, nil
+	out.Nodes = r.originals(cover)
+	out.Reached = len(out.Nodes)
+	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/degred"
+	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/prng"
@@ -93,29 +94,46 @@ func TestFlatRouteMatchesReference(t *testing.T) {
 }
 
 // TestFlatBroadcastMatchesReference checks broadcast parity: identical
-// reached sets, hop totals, round schedules, and statistics.
+// reached sets, hop totals, round schedules, and statistics, under the
+// doubling schedule, a promised bound, a steeper growth factor, and wire
+// format (which instruments only the reference run: the flat walker has no
+// wire to round-trip).
 func TestFlatBroadcastMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		g := randomMultigraph(seed, 7+int(seed%5), int(seed%6))
 		s := g.SortedNodes()[0]
-		fast, err := New(g, Config{Seed: seed, LengthFactor: 1})
+		red, err := degred.Reduce(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := New(g, Config{Seed: seed, LengthFactor: 1, DisableFlat: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, ef := fast.Broadcast(s)
-		bs, es := slow.Broadcast(s)
-		if (ef == nil) != (es == nil) {
-			t.Fatalf("broadcast from %d: flat err %v, reference err %v", s, ef, es)
-		}
-		if ef != nil {
-			continue
-		}
-		if !reflect.DeepEqual(bf, bs) {
-			t.Fatalf("broadcast from %d diverged:\nflat:      %+v\nreference: %+v", s, bf, bs)
+		for _, cfg := range []Config{
+			{},
+			{KnownN: red.Graph().NumNodes()},
+			{GrowthFactor: 4},
+			{WireFormat: true},
+		} {
+			cfg.Seed, cfg.LengthFactor = seed, 1
+			flatCfg, refCfg := cfg, cfg
+			flatCfg.WireFormat, refCfg.DisableFlat = false, true
+			fast, err := New(g, flatCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := New(g, refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bf, ef := fast.Broadcast(s)
+			bs, es := slow.Broadcast(s)
+			if (ef == nil) != (es == nil) {
+				t.Fatalf("%+v: broadcast from %d: flat err %v, reference err %v", cfg, s, ef, es)
+			}
+			if ef != nil {
+				continue
+			}
+			if !reflect.DeepEqual(bf, bs) {
+				t.Fatalf("%+v: broadcast from %d diverged:\nflat:      %+v\nreference: %+v", cfg, s, bf, bs)
+			}
 		}
 	}
 }
@@ -172,8 +190,8 @@ func TestFlatStepperMatchesReferenceTrace(t *testing.T) {
 			if !ok {
 				t.Fatalf("entry %d not in snapshot", start)
 			}
-			st, err := fast.flat.RouteStepper(si, s, dst, fs)
-			if err != nil {
+			var st flatgraph.RouteStepper
+			if err := st.Reset(fast.flat, si, 0, s, dst, fs, 1, false, false); err != nil {
 				t.Fatal(err)
 			}
 			var got []activation

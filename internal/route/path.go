@@ -25,8 +25,7 @@ func (r *Router) PathOf(s graph.NodeID, bound int, forwardSteps int64) ([]graph.
 	if forwardSteps < 0 || forwardSteps > int64(seq.Len()) {
 		return nil, fmt.Errorf("route: forward steps %d outside [0, %d]", forwardSteps, seq.Len())
 	}
-	originalOf := r.originalOf()
-	path := []graph.NodeID{originalOf(start)}
+	path := []graph.NodeID{r.original(start)}
 	pos := ues.Start(start)
 	for i := int64(1); i <= forwardSteps; i++ {
 		next, err := ues.Step(r.WorkGraph(), pos, seq.At(int(i)))
@@ -34,7 +33,7 @@ func (r *Router) PathOf(s graph.NodeID, bound int, forwardSteps int64) ([]graph.
 			return nil, fmt.Errorf("route: path replay: %w", err)
 		}
 		pos = next
-		if o := originalOf(pos.Node); o != path[len(path)-1] {
+		if o := r.original(pos.Node); o != path[len(path)-1] {
 			path = append(path, o)
 		}
 	}

@@ -36,16 +36,16 @@ type Provider interface {
 }
 
 // Walker is the §3 walk in flight: the one driver behind Route,
-// RouteBudgeted, the step-at-a-time composition of package hybrid, and the
-// dynamic router. Its state is a Cursor — the bound, the counters, and the
-// statistics accumulated so far; the position and header are minted from
-// the live round when the walk stops early — plus the live round stepper:
-// the compiled flat stepper, or the netsim reference stepper when the
-// router's configuration needs the reference engine's instrumentation. It
-// runs the bound schedule, each round in hop segments, the §4 closure check
-// after a failed round, and stops on a verdict, on the hop budget, or on
-// the context, checked at round starts (and, on an evolving topology, at
-// epoch boundaries) but never per hop.
+// RouteBudgeted, Broadcast, the step-at-a-time composition of package
+// hybrid, and the dynamic router. Its state is a Cursor — the bound, the
+// counters, and the statistics accumulated so far; the position and header
+// are minted from the live round when the walk stops early — plus the live
+// round stepper: the compiled flat stepper, or the netsim reference stepper
+// when the router's configuration needs the reference engine's
+// instrumentation. It runs the bound schedule, each round in hop segments,
+// the §4 closure check after a failed round, and stops on a verdict, on the
+// hop budget, or on the context, checked at round starts (and, on an
+// evolving topology, at epoch boundaries) but never per hop.
 type Walker struct {
 	r    *Router
 	prov Provider
@@ -57,7 +57,8 @@ type Walker struct {
 	ref    *netsim.Stepper // the live round, when it runs on the reference engine
 	seqLen int
 
-	bounded bool // a budget, deadline, or cursor is in play: rounds must run flat
+	bounded bool     // a budget, deadline, or cursor is in play: rounds must run flat
+	cover   coverSet // the visited set of the last closure check
 	sp, rsp *trace.Span
 	done    bool
 	err     error
@@ -638,7 +639,8 @@ func (w *Walker) endRound() {
 	}
 }
 
-// closed runs the closure check of the failed round at the current bound.
+// closed runs the closure check of the failed round at the current bound
+// and keeps the set it visited.
 func (w *Walker) closed() (bool, error) {
 	if w.prov != nil {
 		return w.prov.Closed(w)
@@ -647,7 +649,9 @@ func (w *Walker) closed() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return w.r.covered(start, w.cur.Bound)
+	var closed bool
+	closed, w.cover, err = w.r.covered(start, w.cur.Bound)
+	return closed, err
 }
 
 // nextRound follows a round that reached no verdict with a fresh one,

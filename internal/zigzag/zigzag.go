@@ -10,11 +10,11 @@
 // Rot(Rot(v,i)) = (v,i); Rot(v,i) = (w,j) means the i-th edge of v leads to
 // w and is the j-th edge of w. Self-loops may be rotation-map fixed points.
 //
-// Faithfulness note (see DESIGN.md): Reingold's USTCON algorithm decides
-// connectivity by enumerating all D^O(log N) walks of logarithmic length on
-// the transformed expander — polynomial, but with galactic constants. We
-// build the transform itself and *measure* the property that makes the
-// enumeration work (constant spectral gap, hence O(log N) diameter), and
+// Faithfulness note: Reingold's USTCON algorithm decides connectivity by
+// enumerating all D^O(log N) walks of logarithmic length on the transformed
+// expander — polynomial, but with galactic constants. We build the
+// transform itself and *measure* the property that makes the enumeration
+// work (constant spectral gap, hence O(log N) diameter; experiment E8), and
 // expose a connectivity decision that certifies the log-diameter bound.
 package zigzag
 
