@@ -3,7 +3,12 @@ package adhocroute
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+
+	"repro/internal/count"
+	"repro/internal/netsim"
+	"repro/internal/route"
 )
 
 func buildPath(t *testing.T, n int) *Network {
@@ -253,6 +258,85 @@ func TestRouteDisconnectedAndConnectedMatchOracle(t *testing.T) {
 			if res.Status != want {
 				t.Fatalf("route %d->%d = %v, oracle says %v", s, d, res.Status, want)
 			}
+		}
+	}
+}
+
+// errOf keeps only the error of a (result, error) call.
+func errOf(_ any, err error) error { return err }
+
+// TestWithMaxBound pins the doubling cap: s's component in a 6×6 grid
+// needs a bound above 4, so with the cap at 4 Route and Broadcast stop
+// with route.ErrSequenceExhausted and CountComponent with
+// count.ErrBoundCap instead of a verdict, one-shot and compiled alike.
+func TestWithMaxBound(t *testing.T) {
+	nw := NewGrid(6, 6)
+	opts := []Option{WithSeed(3), WithMaxBound(4)}
+	r, err := nw.Compile(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		err, want error
+	}{
+		{"Route", errOf(nw.Route(0, 35, opts...)), route.ErrSequenceExhausted},
+		{"Broadcast", errOf(nw.Broadcast(0, opts...)), route.ErrSequenceExhausted},
+		{"CountComponent", errOf(nw.CountComponent(0, opts...)), count.ErrBoundCap},
+		{"Router.Route", errOf(r.Route(0, 35)), route.ErrSequenceExhausted},
+		{"Router.Broadcast", errOf(r.Broadcast(0)), route.ErrSequenceExhausted},
+		{"Router.CountComponent", errOf(r.CountComponent(0)), count.ErrBoundCap},
+	} {
+		if !errors.Is(c.err, c.want) {
+			t.Errorf("%s: err %v, want %v", c.name, c.err, c.want)
+		}
+	}
+}
+
+// TestWithMemoryBudget pins the enforced per-activation node memory
+// budget. A 6×6 grid walk needs 17 bits at node 2, so a 16-bit budget
+// fails Route and Broadcast with netsim.ErrMemoryExceeded, one-shot and
+// compiled alike, while a generous budget leaves the default result
+// untouched.
+func TestWithMemoryBudget(t *testing.T) {
+	nw := NewGrid(6, 6)
+	tight := []Option{WithSeed(3), WithMemoryBudget(16)}
+	r, err := nw.Compile(tight...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"Route", errOf(nw.Route(0, 35, tight...))},
+		{"Broadcast", errOf(nw.Broadcast(0, tight...))},
+		{"Router.Route", errOf(r.Route(0, 35))},
+		{"Router.Broadcast", errOf(r.Broadcast(0))},
+	} {
+		if !errors.Is(c.err, netsim.ErrMemoryExceeded) {
+			t.Errorf("%s: err %v, want %v", c.name, c.err, netsim.ErrMemoryExceeded)
+		} else if msg := c.err.Error(); !strings.Contains(msg, "handler at 2:") || !strings.Contains(msg, "17 bits used, budget 16") {
+			t.Errorf("%s: meter reports %q, want 17 bits used at node 2", c.name, msg)
+		}
+	}
+
+	want := RouteResult{Status: StatusSuccess, Hops: 1358, ForwardSteps: 429, Rounds: 2, Bound: 8, HeaderBits: 40, NodeMemoryBits: 34}
+	loose, err := nw.Compile(WithSeed(3), WithMemoryBudget(1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() (*RouteResult, error){
+		"default":        func() (*RouteResult, error) { return nw.Route(0, 35, WithSeed(3)) },
+		"one-shot 1<<16": func() (*RouteResult, error) { return nw.Route(0, 35, WithSeed(3), WithMemoryBudget(1<<16)) },
+		"compiled 1<<16": func() (*RouteResult, error) { return loose.Route(0, 35) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if *res != want {
+			t.Errorf("%s: %+v, want %+v", name, *res, want)
 		}
 	}
 }

@@ -77,9 +77,11 @@
 // "budget_exhausted" reply). A walk stopped by either limit returns its
 // position as a resume token instead of burning the full doubling budget;
 // provably-unreachable pairs on multi-component networks are answered in
-// O(1) with a reachability certificate. Resume tokens are HMAC-signed with
-// a per-process key and bound to the network or world they were minted
-// for; they do not survive a daemon restart.
+// O(1) with a reachability certificate. Resume tokens are HMAC-signed and
+// bound to the network or world they were minted for. With -token-key
+// every process sharing the key verifies them, so tokens survive a daemon
+// restart and resume on any shard; without it the key is random per
+// process and tokens die with it.
 //
 // Fault injection (-chaos-*): a deterministic, seeded chaos harness can
 // fail snapshot recompiles, delay walk hops, stall epoch advances, and

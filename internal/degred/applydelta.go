@@ -43,7 +43,9 @@ const deltaMaxFraction = 4
 // must have the same node set as the base (node insertions and removals
 // poison the journal upstream). The receiver is not modified — concurrent
 // walkers holding its snapshot are undisturbed — and the returned Reduced
-// is born with its CSR snapshot and component index attached.
+// is born with its CSR snapshot attached. The snapshot labels its
+// components on the first Components call, exactly as a full compile's
+// does, so a recompile no route starts on never pays for the labelling.
 //
 // On ErrDeltaTooLarge or ErrDeltaUnusable the caller should fall back to
 // Reduce(cur).
@@ -288,23 +290,16 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		}
 	}
 
-	comp, sizes, err := r.incrementalComponents(cur, deltas, flat, origIx)
-	if err != nil {
-		return nil, err
-	}
-
 	rows := make([]flatgraph.RowWrite, 0, len(rowBuf))
 	for id, buf := range rowBuf {
 		rows = append(rows, flatgraph.RowWrite{Node: id, Halves: *buf})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Node < rows[j].Node })
 	nf, err := flat.Patch(flatgraph.PatchSpec{
-		NumNodes:  nNew,
-		Orig:      origArr,
-		Rows:      rows,
-		Halves:    halfWrites,
-		Comp:      comp,
-		CompSizes: sizes,
+		NumNodes: nNew,
+		Orig:     origArr,
+		Rows:     rows,
+		Halves:   halfWrites,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("degred: patch: %w", err)
@@ -339,124 +334,4 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		}
 	}
 	return nr, nil
-}
-
-// incrementalComponents maintains the canonical component index across a
-// delta batch without a global recompute. Edge insertions can only merge
-// components (label-level union-find); an edge removal can only split one,
-// and only when no parallel edge survives, in which case the affected old
-// components — and anything the batch connected them to — are re-labeled
-// by a BFS scoped to them on the current graph. Labels are then ranked by
-// minimum original NodeID, the same canonicalization computeComponents
-// applies, so certificates minted from a delta compile and a full compile
-// of the same topology version compare equal.
-func (r *Reduced) incrementalComponents(cur *graph.Graph, deltas []graph.Delta, flat *flatgraph.Graph, newOrigIx []int32) (comp, sizes []int32, err error) {
-	numOrig := len(r.origIDs)
-	oldComps := flat.Components()
-	oldCount := int32(oldComps.Count())
-	labels := make([]int32, numOrig)
-	for ix := 0; ix < numOrig; ix++ {
-		labels[ix] = oldComps.Of(int32(r.slots[ix][0]))
-	}
-
-	// A removal might split its component unless it was a self-loop or a
-	// parallel edge survives between the same endpoints.
-	affected := make(map[int32]bool)
-	for _, d := range deltas {
-		if d.Op != graph.DeltaRemove || d.U == d.V || cur.HasEdge(d.U, d.V) {
-			continue
-		}
-		affected[labels[r.origIdx[d.U]]] = true
-		affected[labels[r.origIdx[d.V]]] = true
-	}
-	next := oldCount
-	if len(affected) > 0 {
-		visited := make([]bool, numOrig)
-		var queue []int32
-		for ix := 0; ix < numOrig; ix++ {
-			if visited[ix] || !affected[labels[ix]] {
-				continue
-			}
-			lbl := next
-			next++
-			queue = append(queue[:0], int32(ix))
-			visited[ix] = true
-			labels[ix] = lbl
-			for len(queue) > 0 {
-				x := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				v := r.origIDs[x]
-				for p := 0; p < cur.Degree(v); p++ {
-					h, nerr := cur.Neighbor(v, p)
-					if nerr != nil {
-						return nil, nil, fmt.Errorf("%w: %v", ErrDeltaUnusable, nerr)
-					}
-					// The search may legitimately flood into components the
-					// batch merged with an affected one.
-					wix, ok := r.origIdx[h.To]
-					if !ok {
-						return nil, nil, fmt.Errorf("%w: edge to unknown node %d", ErrDeltaUnusable, h.To)
-					}
-					if !visited[wix] {
-						visited[wix] = true
-						labels[wix] = lbl
-						queue = append(queue, wix)
-					}
-				}
-			}
-		}
-	}
-
-	// Merges from insertions. An add whose edge did not survive the batch
-	// is skipped: if it mattered, its removal was a potential split and the
-	// BFS above already re-labeled from the true current graph.
-	parent := make([]int32, next)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, d := range deltas {
-		if d.Op != graph.DeltaAdd || !cur.HasEdge(d.U, d.V) {
-			continue
-		}
-		a, b := find(labels[r.origIdx[d.U]]), find(labels[r.origIdx[d.V]])
-		if a != b {
-			parent[b] = a
-		}
-	}
-
-	// Canonical relabel by minimum original NodeID, as in computeComponents.
-	minOrig := make(map[int32]graph.NodeID)
-	for ix := 0; ix < numOrig; ix++ {
-		root := find(labels[ix])
-		v := r.origIDs[ix]
-		if currMin, ok := minOrig[root]; !ok || v < currMin {
-			minOrig[root] = v
-		}
-	}
-	roots := make([]int32, 0, len(minOrig))
-	for root := range minOrig {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool { return minOrig[roots[i]] < minOrig[roots[j]] })
-	rank := make(map[int32]int32, len(roots))
-	for i, root := range roots {
-		rank[root] = int32(i)
-	}
-
-	comp = make([]int32, len(newOrigIx))
-	sizes = make([]int32, len(roots))
-	for gid, ix := range newOrigIx {
-		c := rank[find(labels[ix])]
-		comp[gid] = c
-		sizes[c]++
-	}
-	return comp, sizes, nil
 }

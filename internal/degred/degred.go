@@ -245,12 +245,6 @@ func (r *Reduced) Flat() *flatgraph.Graph {
 	return r.flat
 }
 
-// NumOriginals returns the number of original nodes the reduction simulates.
-func (r *Reduced) NumOriginals() int { return len(r.origIDs) }
-
-// NumGadgets returns the number of gadget nodes in the reduced graph.
-func (r *Reduced) NumGadgets() int { return len(r.orig) }
-
 // Original returns the original node simulated by gadget node v.
 func (r *Reduced) Original(v graph.NodeID) (graph.NodeID, bool) {
 	if v < 0 || int(v) >= len(r.orig) {

@@ -236,6 +236,48 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnEpoch times one epoch of world_churn's shape: a 16×16
+// grid under stationary Markov link flaps, where each Advance flips a
+// handful of links and the Compiled() call after it recompiles through
+// the delta path. The components variant adds the first Components() call
+// on the new snapshot, which a route starting on it pays for its
+// certificate check; BenchmarkDeltaRecompile's rows include neither the
+// schedule nor the index.
+func BenchmarkChurnEpoch(b *testing.B) {
+	for _, comps := range []bool{false, true} {
+		name := "recompile"
+		if comps {
+			name = "recompile+components"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := NewWorld(gen.Grid(16, 16), &MarkovLinks{Seed: 1, PDown: 0.01, PUp: 0.5})
+			// Warm the chain toward its stationary down-fraction first.
+			for e := 0; e < 64; e++ {
+				if err := w.Advance(Probe{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, _, err := w.Compiled(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Advance(Probe{}); err != nil {
+					b.Fatal(err)
+				}
+				_, flat, err := w.Compiled()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if comps {
+					flat.Components()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRemoveEdgeBetweenHighDegree measures the schedule-facing edge
 // removal on a hub node, where the old implementation paid one locked
 // Neighbor call (map lookup + bounds checks) per port scanned; the

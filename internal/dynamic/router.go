@@ -185,7 +185,7 @@ func (r *Router) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 	// Warm the compile cache before counting: Recompiles measures what the
 	// topology churn cost this route, not the unavoidable initial compile.
 	p := &worldWalk{r: r, chaos: r.w.Chaos()}
-	snap, _, err := p.Snapshot()
+	snap, ver, err := p.Snapshot()
 	if err != nil {
 		return &Result{}, err
 	}
@@ -196,8 +196,7 @@ func (r *Router) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 	// already committed to walking, and the walk's own verdict is sound.
 	if cur == nil {
 		if cert := snap.Certificate(s, t); cert != nil {
-			now := r.w.Snapshot()
-			cert.Epoch, cert.Version = now.Epoch, now.Version
+			cert.Epoch, cert.Version = p.epoch, ver
 			if sp := trace.FromContext(ctx); sp.Recording() {
 				sp.Event("dynamic.certificate",
 					trace.Int("src_component", int64(cert.SrcComponent)),
@@ -238,18 +237,20 @@ type worldWalk struct {
 	chaos  *chaos.Injector
 	red    *degred.Reduced // the snapshot router was built for
 	router *route.Router
+	epoch  int // the world epoch the last Snapshot was read at
 }
 
 // Snapshot implements route.Provider: the world's current compiled
-// snapshot, wrapped in a router speaking this Router's protocol. The
-// wrapper carries no original graph — the world validates endpoints
-// itself — so the driver never reads the mutable world graph.
+// snapshot, wrapped in a router speaking this Router's protocol, and the
+// version it was compiled at. The wrapper carries no original graph — the
+// world validates endpoints itself — so the driver never reads the
+// mutable world graph.
 func (p *worldWalk) Snapshot() (*route.Router, uint64, error) {
-	red, _, err := p.r.w.Compiled()
+	red, _, epoch, ver, err := p.r.w.compiled()
 	if err != nil {
 		return nil, 0, err
 	}
-	ver := p.r.w.Version()
+	p.epoch = epoch
 	if red != p.red {
 		c := p.r.cfg
 		rr, err := route.NewFromReduced(nil, red, route.Config{

@@ -30,9 +30,10 @@ func (p Probe) NextLink() (Edge, bool) {
 }
 
 // Schedule mutates a world at each epoch boundary. Implementations must
-// mutate only through World methods (AddEdge, RemoveEdge, SetPos, …) so
-// the topology version stays exact, and must be deterministic in their
-// seeds — reruns of a scenario reproduce the identical topology history.
+// mutate only through World methods (AddEdge, RemoveEdgeBetween, SetPos,
+// …) so the topology version stays exact, and must be deterministic in
+// their seeds — reruns of a scenario reproduce the identical topology
+// history.
 type Schedule interface {
 	Advance(w *World, epoch int, p Probe) error
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -173,4 +174,71 @@ func TestWorldLockedAccessors(t *testing.T) {
 	if fmt.Sprint(w.Version()) != "1" {
 		t.Fatalf("version %d", w.Version())
 	}
+}
+
+// bridgeFlap adds the bridge u–v at odd epochs and removes it at even
+// ones, so a world built without it is connected exactly at odd topology
+// versions.
+type bridgeFlap struct{ u, v graph.NodeID }
+
+func (b bridgeFlap) Advance(w *World, epoch int, _ Probe) error {
+	if epoch%2 == 1 {
+		_, _, err := w.AddEdge(b.u, b.v)
+		return err
+	}
+	return w.RemoveEdgeBetween(b.u, b.v)
+}
+
+// TestCertificateStampNamesItsSnapshot pins that a certificate carries the
+// version of the snapshot whose component index decided it, while another
+// goroutine advances the shared world as fast as it can. Two 6-cycles are
+// bridged only at odd versions, so a certificate — the proof that 0 and
+// 103 are disconnected — stamped with an odd version names a topology on
+// which the pair was connected.
+func TestCertificateStampNamesItsSnapshot(t *testing.T) {
+	g, err := gen.DisjointUnion(gen.Cycle(6), gen.Cycle(6), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(g, bridgeFlap{u: 0, v: 100})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.Advance(Probe{}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	r := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1})
+	certs := 0
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		res, err := r.Route(0, 103)
+		if errors.Is(err, ErrRoundsExhausted) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := res.Certificate; c != nil {
+			certs++
+			if c.Version%2 != 0 {
+				t.Fatalf("certificate %d stamped with connected version %d (epoch %d)", certs, c.Version, c.Epoch)
+			}
+		}
+	}
+	if certs == 0 {
+		t.Fatal("no certificate issued")
+	}
+	t.Logf("%d certificates, every one stamped with a disconnected version", certs)
 }

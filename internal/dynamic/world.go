@@ -157,37 +157,6 @@ func (w *World) Recompiles() int64 {
 	return w.recompiles
 }
 
-// CacheHits returns how many Compiled calls were served from the
-// per-epoch compile cache (version unchanged since the last rebuild).
-func (w *World) CacheHits() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cacheHits
-}
-
-// RecompileTime returns the total wall time spent rebuilding the
-// reduction+snapshot over the world's lifetime — the price churn charged
-// this world so far.
-func (w *World) RecompileTime() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.recompileTime
-}
-
-// DeltaRecompiles returns how many rebuilds took the O(diff) delta path.
-func (w *World) DeltaRecompiles() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.deltaRecompiles
-}
-
-// FullRecompiles returns how many rebuilds took the O(graph) full path.
-func (w *World) FullRecompiles() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fullRecompiles
-}
-
 // Snapshot is a consistent point-in-time summary of a world's state —
 // all fields observed under one lock, so a reader racing a concurrent
 // Advance never pairs one epoch's clock with another epoch's topology.
@@ -274,16 +243,25 @@ func (w *World) Advance(p Probe) error {
 // fraction guard falls back to a full O(graph) Reduce. Both paths produce
 // byte-for-byte identical routing behaviour; only the price differs.
 func (w *World) Compiled() (*degred.Reduced, *flatgraph.Graph, error) {
+	red, flat, _, _, err := w.compiled()
+	return red, flat, err
+}
+
+// compiled is Compiled plus the epoch and topology version the artifacts
+// are current at, read under the same lock: a certificate or cursor
+// stamped with them names the snapshot it was decided on, even when a
+// concurrent Advance lands right after.
+func (w *World) compiled() (*degred.Reduced, *flatgraph.Graph, int, uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.compiledOK && w.compiledVersion == w.version {
 		w.cacheHits++
-		return w.red, w.flat, nil
+		return w.red, w.flat, w.epoch, w.version, nil
 	}
 	if err := w.chaos.Load().CompileFault(); err != nil {
 		// The journal is NOT drained on an injected fault: the deltas are
 		// still pending and the next attempt replays them.
-		return nil, nil, fmt.Errorf("dynamic: recompile at version %d: %w", w.version, err)
+		return nil, nil, 0, 0, fmt.Errorf("dynamic: recompile at version %d: %w", w.version, err)
 	}
 	start := time.Now()
 	j := w.g.Journal()
@@ -297,13 +275,13 @@ func (w *World) Compiled() (*degred.Reduced, *flatgraph.Graph, error) {
 	if red == nil {
 		r, err := degred.Reduce(w.g)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dynamic: recompile at version %d: %w", w.version, err)
+			return nil, nil, 0, 0, fmt.Errorf("dynamic: recompile at version %d: %w", w.version, err)
 		}
 		red = r
 	}
 	flat := red.Flat()
 	if flat == nil {
-		return nil, nil, fmt.Errorf("dynamic: flat snapshot failed at version %d", w.version)
+		return nil, nil, 0, 0, fmt.Errorf("dynamic: flat snapshot failed at version %d", w.version)
 	}
 	if j != nil {
 		j.Reset()
@@ -323,7 +301,7 @@ func (w *World) Compiled() (*degred.Reduced, *flatgraph.Graph, error) {
 	if w.recompObs != nil {
 		w.recompObs(path, w.version, elapsed)
 	}
-	return w.red, w.flat, nil
+	return w.red, w.flat, w.epoch, w.version, nil
 }
 
 // SetRecompileObserver installs fn to be called on every actual rebuild
@@ -359,22 +337,6 @@ func (w *World) AddEdge(u, v graph.NodeID) (portU, portV int, err error) {
 	return pu, pv, err
 }
 
-// RemoveEdge deletes the edge at port p of node v and bumps the topology
-// version.
-func (w *World) RemoveEdge(v graph.NodeID, p int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.removeEdgeLocked(v, p)
-}
-
-func (w *World) removeEdgeLocked(v graph.NodeID, p int) error {
-	if err := w.g.RemoveEdge(v, p); err != nil {
-		return err
-	}
-	w.version++
-	return nil
-}
-
 // RemoveEdgeBetween deletes one edge joining u and v (the lowest-port one
 // at u), bumping the topology version. It reports graph.ErrPortRange if no
 // such edge exists.
@@ -388,7 +350,11 @@ func (w *World) RemoveEdgeBetween(u, v graph.NodeID) error {
 	if !ok {
 		return fmt.Errorf("%w: no edge %d-%d", graph.ErrPortRange, u, v)
 	}
-	return w.removeEdgeLocked(u, p)
+	if err := w.g.RemoveEdge(u, p); err != nil {
+		return err
+	}
+	w.version++
+	return nil
 }
 
 // Edges lists the current links once each, in the deterministic scan order

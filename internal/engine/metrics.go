@@ -212,12 +212,6 @@ func (e *Engine) Stats() Snapshot {
 	}
 }
 
-// RouteLatencyQuantile estimates the q-quantile (0..1) of Route latency in
-// seconds from the engine's bucketed histogram.
-func (e *Engine) RouteLatencyQuantile(q float64) float64 {
-	return e.m.routeSeconds.Quantile(q)
-}
-
 // The raw instrumentation histograms, exposed so the SLO layer can derive
 // burn-rate sources from the numbers the scrape already shows (no second
 // measurement path). Read-only for callers.

@@ -22,25 +22,12 @@ type Components struct {
 }
 
 // Components returns the connected-component index of f, computing it on
-// first use. Safe for concurrent callers. Delta-patched snapshots arrive
-// with the index precomputed (maintained incrementally by the patcher);
-// the lazy path below serves full compiles.
+// first use. Safe for concurrent callers. Compiled and delta-patched
+// snapshots alike start without an index, so a snapshot no caller asks
+// about never pays for the labelling.
 func (f *Graph) Components() *Components {
-	f.compOnce.Do(func() {
-		if f.comps == nil {
-			f.comps = computeComponents(f)
-		}
-	})
+	f.compOnce.Do(func() { f.comps = computeComponents(f) })
 	return f.comps
-}
-
-// NewComponents wraps a precomputed index: comp[i] is the canonical
-// component id of dense node i and sizes[id] the member count of component
-// id. Intended for delta compilers that maintain the index incrementally;
-// the arrays are taken over, not copied, and must follow the canonical
-// min-original-ID ranking documented on Components.
-func NewComponents(comp, sizes []int32) *Components {
-	return &Components{comp: comp, sizes: sizes}
 }
 
 // computeComponents runs union-find (path halving + union by size) over

@@ -206,10 +206,6 @@ type Seq struct {
 	Length int
 }
 
-// At returns the i-th direction, 1 ≤ i ≤ Length (not bounds-checked: the
-// walk loops bound i structurally).
-func (s Seq) At(i int64) int32 { return int32(ues.Symbol(s.Seed, uint64(i), s.Base)) }
-
 // Fill writes directions from..from+len(buf)-1 into buf — the per-walk
 // block prefetch that amortizes the sequence oracle across hops.
 func (s Seq) Fill(buf []int8, from int64) {

@@ -118,16 +118,13 @@ func TestStepMatchesUES(t *testing.T) {
 func TestSeqMatchesUES(t *testing.T) {
 	p := &ues.Pseudorandom{Seed: 42, N: 64, Base: 3}
 	s := flatgraph.Seq{Seed: 42, Base: 3, Length: p.Len()}
-	for i := 1; i <= 2000; i++ {
-		if int(s.At(int64(i))) != p.At(i) {
-			t.Fatalf("At(%d): Seq %d, ues %d", i, s.At(int64(i)), p.At(i))
-		}
-	}
-	buf := make([]int8, 257)
-	s.Fill(buf, 100)
-	for k, v := range buf {
-		if int(v) != p.At(100+k) {
-			t.Fatalf("Fill[%d]: %d, want %d", k, v, p.At(100+k))
+	for _, c := range []struct{ from, n int }{{1, 2000}, {100, 257}} {
+		buf := make([]int8, c.n)
+		s.Fill(buf, int64(c.from))
+		for k, v := range buf {
+			if int(v) != p.At(c.from+k) {
+				t.Fatalf("Fill from %d, [%d]: %d, want %d", c.from, k, v, p.At(c.from+k))
+			}
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 // a sparse set of edits, instead of recompiling from a graph.Graph. The
 // mechanical work here is three array copies (the untouched adjacency
 // spans ride a memcpy) plus O(edits) overwrites; all gadget-level
-// reasoning — which rows change, what they now contain, what the
-// components are — belongs to the caller (degred.ApplyDelta). The old
-// snapshot is never modified: concurrent walkers holding it keep exactly
-// the contract they have always had.
+// reasoning — which rows change and what they now contain — belongs to
+// the caller (degred.ApplyDelta). A patched snapshot computes its
+// component index on first use, like a compiled one. The old snapshot is
+// never modified: concurrent walkers holding it keep exactly the contract
+// they have always had.
 
 // Errors reported by Patch.
 var (
@@ -55,10 +56,6 @@ type PatchSpec struct {
 	Rows []RowWrite
 	// Halves are single-half fixes at otherwise untouched nodes.
 	Halves []HalfWrite
-	// Comp and CompSizes, when non-nil, are the precomputed canonical
-	// component index of the patched snapshot (see NewComponents); nil
-	// leaves the index to the usual lazy computation.
-	Comp, CompSizes []int32
 }
 
 // Patch builds a new immutable snapshot from f and the spec. f must be a
@@ -102,20 +99,14 @@ func (f *Graph) Patch(spec PatchSpec) (*Graph, error) {
 		p.ids[i] = graph.NodeID(i)
 		p.memw[i] = uint8(wordBits(int64(i)) + wordBits(int64(p.orig[i])))
 	}
-	if spec.Comp != nil {
-		if len(spec.Comp) != n {
-			return nil, fmt.Errorf("%w: component index covers %d of %d nodes", ErrBadPatch, len(spec.Comp), n)
-		}
-		p.comps = NewComponents(spec.Comp, spec.CompSizes)
-	}
 	return p, nil
 }
 
 // CheckConsistent validates the snapshot's structural invariants the slow
-// way — every half-edge mutual, in range, 3-regular — plus agreement
-// between any precomputed component index and a from-scratch recompute.
-// It exists for the delta-compile fuzzers and differential tests; compile
-// paths never call it.
+// way — every half-edge mutual, in range, 3-regular. It exists for the
+// delta-compile fuzzers and differential tests; compile paths never call
+// it. The component index needs no check here: every snapshot computes it
+// from its own half-edge table on first use.
 func (f *Graph) CheckConsistent() error {
 	n := f.NumNodes()
 	if len(f.halves) != n*3 && f.regular3 {
@@ -138,24 +129,6 @@ func (f *Graph) CheckConsistent() error {
 			if back.To != int32(i) || back.Port != p-f.rowStart[i] {
 				return fmt.Errorf("flatgraph: half (%d,%d)->(%d,%d) not mutual: reverse is (%d,%d)",
 					i, p-f.rowStart[i], h.To, h.Port, back.To, back.Port)
-			}
-		}
-	}
-	if f.comps != nil {
-		want := computeComponents(f)
-		if f.comps.Count() != want.Count() {
-			return fmt.Errorf("flatgraph: precomputed component count %d, recomputed %d", f.comps.Count(), want.Count())
-		}
-		for i := 0; i < n; i++ {
-			if f.comps.Of(int32(i)) != want.Of(int32(i)) {
-				return fmt.Errorf("flatgraph: node %d in precomputed component %d, recomputed %d",
-					i, f.comps.Of(int32(i)), want.Of(int32(i)))
-			}
-		}
-		for id := int32(0); id < int32(want.Count()); id++ {
-			if f.comps.Size(id) != want.Size(id) {
-				return fmt.Errorf("flatgraph: component %d precomputed size %d, recomputed %d",
-					id, f.comps.Size(id), want.Size(id))
 			}
 		}
 	}

@@ -223,9 +223,6 @@ func (st *RouteStepper) Outcome() RouteOutcome {
 	}
 }
 
-// Done reports whether the round has terminated.
-func (st *RouteStepper) Done() bool { return st.done }
-
 // Success reports the verdict: true if the forward walk reached the
 // destination (valid once Done with a nil Err).
 func (st *RouteStepper) Success() bool { return st.success }

@@ -233,10 +233,6 @@ func (r *Router) WorkGraph() *graph.Graph {
 // OriginalGraph returns the graph the router was built for. Read-only.
 func (r *Router) OriginalGraph() *graph.Graph { return r.orig }
 
-// Reduced returns the degree-reduction artifact (nil under the
-// no-reduction ablation). Read-only.
-func (r *Router) Reduced() *degred.Reduced { return r.red }
-
 // DefaultMemoryBudget returns the enforced per-activation budget for a work
 // graph of n nodes: Θ(log n) bits with a constant floor for the fixed
 // registers.

@@ -247,18 +247,17 @@ func (tr *Trace) newSpan(name string, parent SpanID) *Span {
 }
 
 // Attr is one key/value span attribute. Values are JSON-friendly scalars
-// (string, int64, float64, bool).
+// (string, int64, bool).
 type Attr struct {
 	K string
 	V any
 }
 
-// String/Int/Float/Bool build attributes without the caller spelling the
+// String/Int/Bool build attributes without the caller spelling the
 // struct.
-func String(k, v string) Attr        { return Attr{K: k, V: v} }
-func Int(k string, v int64) Attr     { return Attr{K: k, V: v} }
-func Float(k string, v float64) Attr { return Attr{K: k, V: v} }
-func Bool(k string, v bool) Attr     { return Attr{K: k, V: v} }
+func String(k, v string) Attr    { return Attr{K: k, V: v} }
+func Int(k string, v int64) Attr { return Attr{K: k, V: v} }
+func Bool(k string, v bool) Attr { return Attr{K: k, V: v} }
 
 // Event is one timed low-frequency span event (a round start, an epoch
 // advance, a snapshot resumption).

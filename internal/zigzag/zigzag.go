@@ -287,11 +287,6 @@ func (g *RotGraph) Lambda(iters int) float64 {
 	return lambda
 }
 
-// SpectralGap returns 1 - Lambda(iters).
-func (g *RotGraph) SpectralGap(iters int) float64 {
-	return 1 - g.Lambda(iters)
-}
-
 // ToGraph converts the rotation map back to a port-labeled graph with node
 // IDs 0..N-1.
 func (g *RotGraph) ToGraph() (*graph.Graph, error) {
