@@ -166,7 +166,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		logFormat   = fs.String("log-format", "text", `request log format: "text" (quiet) or "json" (one structured line per request)`)
 		traceSample = fs.Float64("trace-sample", defaultTraceSample, "head-sampling probability for request traces in [0,1]; an upstream traceparent sampled flag always wins")
 		traceSlow   = fs.Duration("trace-slow", defaultTraceSlow, "flight-recorder retention threshold: keep sampled traces at least this slow (0 keeps all; errors are always kept)")
-		traceCap    = fs.Int("trace-capacity", defaultTraceCapacity, "retained traces in the flight-recorder ring")
+		traceCap    = fs.Int("trace-capacity", defaultTraceCapacity, "retained traces in the flight-recorder ring (at least 1)")
 
 		sloSpec     = fs.String("slo", defaultSLOSpec, `objective spec evaluated as 5m/1h burn rates (GET /v1/slo), e.g. "route_p99<250ms,hop_p99<4log,wrong_verdicts==0"; "off" disables`)
 		sloInterval = fs.Duration("slo-interval", 10*time.Second, "burn-rate evaluation tick interval")
@@ -198,6 +198,12 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		return fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat)
+	}
+	if !(*traceSample >= 0 && *traceSample <= 1) {
+		return fmt.Errorf("invalid -trace-sample %v (want a probability in [0,1])", *traceSample)
+	}
+	if *traceCap < 1 {
+		return fmt.Errorf("invalid -trace-capacity %d (want at least 1)", *traceCap)
 	}
 	// -drain-timeout is the documented name; -drain the historical one.
 	// Whichever was set explicitly wins (the newer name on a tie).

@@ -72,6 +72,19 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out, nil); err == nil {
 		t.Fatal("unknown flag did not error")
 	}
+	// Out-of-range trace settings are refused by name, not clamped.
+	for _, args := range [][]string{
+		{"-trace-sample", "NaN"},
+		{"-trace-sample", "-0.1"},
+		{"-trace-sample", "1.5"},
+		{"-trace-capacity", "-5"},
+		{"-trace-capacity", "0"},
+	} {
+		err := run(args, &out, nil)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Fatalf("%v: error %v, want one naming %s", args, err, args[0])
+		}
+	}
 }
 
 // TestPprofFlag boots the daemon with -pprof and checks the profiling

@@ -13,9 +13,11 @@ import (
 )
 
 // Trace serving defaults (flag-tunable). The daemon head-samples every
-// request by default — the walk instrumentation is cheap enough per
-// BENCH_PR6 — and the flight recorder retains only the slow and failed
-// ones, so steady-state traffic costs ring writes but no retention.
+// request by default: a sampled walk round records no hop as it walks, and
+// when it ends re-walks at most two hop rings (512 hops at the default
+// ring) to fill its tail, however long the walk ran. The flight recorder
+// retains only the slow and failed traces, so steady-state traffic costs
+// span bookkeeping and tail replays but no retention.
 const (
 	defaultTraceSample   = 1.0
 	defaultTraceSlow     = 100 * time.Millisecond

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/prng"
 	"repro/internal/trace"
 )
 
@@ -202,7 +204,7 @@ func BenchmarkArmedUnsampledSharedWorldRoute(b *testing.B) {
 }
 
 // BenchmarkTracedSharedWorldRoute prices the fully sampled traced query —
-// hop ring writes on every hop plus span bookkeeping — as documentation
+// span bookkeeping plus each round's replayed hop tail — as documentation
 // of what a sampled request costs relative to the unsampled baseline.
 func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 	e, err := Compile(gen.Torus(5, 5), Config{Seed: 3})
@@ -229,4 +231,47 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 		}
 		tr.Finish()
 	}
+}
+
+// BenchmarkTracedLongRoute is the tracing perf guard on long walks: route_long's
+// network (gen.UDG2D(1024, 0.06, 1) at protocol seed 7, one node isolated)
+// over 64 fixed pairs, about 42k hops per query. untraced routes through
+// Engine.RouteBudgeted with a background context; traced opens a fresh
+// trace per query as adhocd does at its defaults (sample rate 1, 100ms
+// retention), so its round spans pay for their hop tails. CI fails when
+// traced exceeds 1.5x untraced; run it at -benchtime 64x, one pass over
+// the pairs.
+func BenchmarkTracedLongRoute(b *testing.B) {
+	const n = 1024
+	e, err := Compile(gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := prng.New(1)
+	var pairs [64][2]graph.NodeID
+	for i := range pairs {
+		pairs[i] = [2]graph.NodeID{graph.NodeID(src.Intn(n)), graph.NodeID(src.Intn(n))}
+	}
+	route := func(b *testing.B, ctx context.Context, i int) {
+		p := pairs[i%len(pairs)]
+		if _, err := e.RouteBudgeted(ctx, p[0], p[1], 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("untraced", func(b *testing.B) {
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			route(b, ctx, i)
+		}
+	})
+	b.Run("traced", func(b *testing.B) {
+		tc := trace.New(trace.Config{SampleRate: 1, SlowThreshold: 100 * time.Millisecond})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr := tc.StartRequest("http", "")
+			route(b, trace.NewContext(context.Background(), tr.Root()), i)
+			tr.Finish()
+		}
+	})
 }

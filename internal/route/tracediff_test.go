@@ -1,10 +1,11 @@
 package route
 
 // tracediff_test.go pins the tracing contract: a traced route runs on the
-// compiled flat path (the flat stepper feeding a hop sink, never the netsim
-// fallback) and returns a Result bit-for-bit identical to the untraced
-// one — verdict, hops, forward steps, round schedule, header and memory
-// metering — while the span tree captures every hop of every round.
+// compiled flat path (the flat stepper, whose round-end replay fills each
+// round span's hop tail, never the netsim fallback) and returns a Result
+// bit-for-bit identical to the untraced one — verdict, hops, forward
+// steps, round schedule, header and memory metering — while the span tree
+// counts every hop of every round.
 
 import (
 	"context"

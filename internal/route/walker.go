@@ -60,8 +60,107 @@ type Walker struct {
 	bounded bool     // a budget, deadline, or cursor is in play: rounds must run flat
 	cover   coverSet // the visited set of the last closure check
 	sp, rsp *trace.Span
+	log     *hopLog // the sampled round's replay log (nil until a sampled walk enters the flat path)
 	done    bool
 	err     error
+}
+
+// hopLog is a sampled round's replay log. The walk is oblivious — a round's
+// whole state is its stepper's (position, header) — so a sampled round does
+// not record its hops as it walks them. It walks in pieces of at most one
+// hop ring, keeps a copy of the stepper as each piece began, and when the
+// round's span ends re-walks the last ring of hops from those copies into
+// the span (replay). A copy carries its own immutable snapshot, so a round
+// that crossed recompiles replays each piece where it was walked.
+type hopLog struct {
+	ring   int64      // the span's hop ring capacity
+	pieces []hopPiece // oldest first; the last is the live piece
+	total  int64      // flat hops the round's span has walked
+}
+
+// hopPiece is the stepper as a piece of the round began, and the hops the
+// round walked from it.
+type hopPiece struct {
+	st   flatgraph.RouteStepper
+	hops int64
+}
+
+// add starts a piece at st. It first drops the pieces no tail can need,
+// keeping only the shortest suffix whose hops add up to a ring: a round
+// that re-enters a snapshot at every epoch must not pin each one.
+func (l *hopLog) add(st *flatgraph.RouteStepper) {
+	keep, sum := len(l.pieces), int64(0)
+	for keep > 0 && sum < l.ring {
+		keep--
+		sum += l.pieces[keep].hops
+	}
+	if keep > 0 {
+		n := copy(l.pieces, l.pieces[keep:])
+		clear(l.pieces[n:])
+		l.pieces = l.pieces[:n]
+	}
+	l.pieces = append(l.pieces, hopPiece{st: *st})
+}
+
+// run is RouteStepper.Run for the live piece's stepper st: it walks in runs
+// that never carry a piece past one ring, starting the next piece whenever
+// the live one is full.
+func (l *hopLog) run(st *flatgraph.RouteStepper, limit int64) bool {
+	for {
+		if l.pieces[len(l.pieces)-1].hops >= l.ring {
+			l.add(st)
+		}
+		p := &l.pieces[len(l.pieces)-1]
+		n := l.ring - p.hops
+		if limit >= 0 {
+			n = min(n, limit)
+		}
+		before := st.Hops()
+		ended := st.Run(n)
+		n = st.Hops() - before
+		p.hops += n
+		l.total += n
+		if limit >= 0 {
+			limit -= n
+		}
+		if ended || limit == 0 {
+			return ended
+		}
+	}
+}
+
+// replay records the round's hop evidence into sp: it counts the hops
+// older than the last ring, re-walks the last ring from the kept copies
+// with the span's sink attached, and empties the log for the next round.
+func (l *hopLog) replay(sp *trace.Span, s, t graph.NodeID) {
+	var kept int64
+	for _, p := range l.pieces {
+		kept += p.hops
+	}
+	emit := min(kept, l.ring)
+	sp.SkipHops(l.total - emit)
+	sink := func(node graph.NodeID, index int64, backward bool) {
+		sp.Hop(trace.HopEvent{
+			Node:       int64(node),
+			Index:      index,
+			HeaderBits: int32(headerBits(s, t, index)),
+			Backward:   backward,
+		})
+	}
+	skip := kept - emit
+	for i := range l.pieces {
+		p := &l.pieces[i]
+		if skip >= p.hops {
+			skip -= p.hops
+			continue
+		}
+		p.st.Run(skip)
+		p.st.Instrument(sink)
+		p.st.Run(p.hops - skip)
+		skip = 0
+	}
+	clear(l.pieces)
+	l.pieces, l.total = l.pieces[:0], 0
 }
 
 // nextBound is the §3 doubling schedule, the only place it is computed: the
@@ -290,7 +389,7 @@ func (w *Walker) walk(ctx context.Context, maxHops int64, cur *Cursor) (*Result,
 		err = w.startRound()
 	}
 	if err != nil {
-		w.rsp.End()
+		w.endSpan()
 		return nil, err
 	}
 	limit := int64(-1)
@@ -355,7 +454,11 @@ func (w *Walker) run(ctx context.Context, limit int64) {
 func (w *Walker) segment(limit int64) (hops int64, ended bool) {
 	if w.ref == nil {
 		before := w.flat.Hops()
-		ended = w.flat.Run(limit)
+		if w.log != nil {
+			ended = w.log.run(&w.flat, limit)
+		} else {
+			ended = w.flat.Run(limit)
+		}
 		return w.flat.Hops() - before, ended
 	}
 	out := w.ref.Result()
@@ -486,23 +589,18 @@ func (w *Walker) enter(node graph.NodeID, inPort int, index int64, backward, suc
 	return nil
 }
 
-// enterFlat puts the live round on the flat stepper at a dense position,
-// feeding the round span's hop ring when the round is sampled.
+// enterFlat puts the live round on the flat stepper at a dense position; a
+// sampled round starts a piece of its replay log there.
 func (w *Walker) enterFlat(node, inPort int32, fs flatgraph.Seq, index int64, backward, success bool) error {
 	w.ref, w.seqLen = nil, fs.Length
 	if err := w.flat.Reset(w.r.flat, node, inPort, w.cur.Src, w.cur.Dst, fs, index, backward, success); err != nil {
 		return err
 	}
-	if rsp := w.rsp; rsp.Recording() {
-		s, t := w.cur.Src, w.cur.Dst
-		w.flat.Instrument(func(node graph.NodeID, index int64, backward bool) {
-			rsp.Hop(trace.HopEvent{
-				Node:       int64(node),
-				Index:      index,
-				HeaderBits: int32(headerBits(s, t, index)),
-				Backward:   backward,
-			})
-		})
+	if w.rsp.Recording() {
+		if w.log == nil {
+			w.log = &hopLog{ring: int64(w.rsp.HopRing())}
+		}
+		w.log.add(&w.flat)
 	}
 	return nil
 }
@@ -512,6 +610,15 @@ func (w *Walker) enterFlat(node, inPort int32, fs flatgraph.Seq, index int64, ba
 // header any activation observes is the one at the round's peak index.
 func headerBits(s, t graph.NodeID, index int64) int {
 	return netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: index}.Bits()
+}
+
+// endSpan closes the live round's span, replaying the round's hop tail into
+// it first.
+func (w *Walker) endSpan() {
+	if w.log != nil && len(w.log.pieces) > 0 {
+		w.log.replay(w.rsp, w.cur.Src, w.cur.Dst)
+	}
+	w.rsp.End()
 }
 
 // openRound starts the live round's span.
@@ -552,7 +659,7 @@ func (w *Walker) closeRound(outcome netsim.Status) int64 {
 	if w.rsp.Recording() {
 		w.rsp.SetAttr(trace.Int("seq_len", int64(w.seqLen)), trace.Int("hops", hops),
 			trace.Bool("success", outcome == netsim.StatusSuccess), trace.String("status", outcome.String()))
-		w.rsp.End()
+		w.endSpan()
 		if w.ref != nil {
 			w.sp.Event(w.ns+".round.netsim", trace.Int("bound", int64(w.cur.Bound)),
 				trace.Int("hops", hops), trace.String("outcome", outcome.String()))
@@ -692,7 +799,7 @@ func (w *Walker) exhaust(reason ExhaustReason) {
 	if w.rsp.Recording() {
 		w.rsp.Event(w.ns+".exhausted", trace.String("reason", string(reason)),
 			trace.Int("round_hops", c.RoundHops), trace.Int("index", c.Index))
-		w.rsp.End()
+		w.endSpan()
 	}
 	w.done = true
 }
@@ -700,5 +807,5 @@ func (w *Walker) exhaust(reason ExhaustReason) {
 // fail ends the walk with err.
 func (w *Walker) fail(err error) {
 	w.err, w.done = err, true
-	w.rsp.End()
+	w.endSpan()
 }

@@ -1,12 +1,14 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/trace"
 )
 
 func runWalker(t *testing.T, w *Walker, maxSteps int) {
@@ -131,4 +133,77 @@ func TestWalkerHopsMonotonic(t *testing.T) {
 		}
 	}
 	t.Fatal("did not terminate")
+}
+
+// reentryProvider walks a static router as if its world recompiled every h
+// hops: each segment is h hops long and ends in a re-entry. After every
+// segment and every re-entry it records how many pieces the sampled
+// round's replay log holds.
+type reentryProvider struct {
+	r         *Router
+	h         int64
+	maxRounds int
+	most      int
+}
+
+func (p *reentryProvider) Snapshot() (*Router, uint64, error) { return p.r, 1, nil }
+
+func (p *reentryProvider) Limit(*Walker) int64 { return p.h }
+
+func (p *reentryProvider) SegmentEnd(w *Walker, hops int64) (epoch, abort bool, err error) {
+	p.most = max(p.most, len(w.log.pieces))
+	if hops < p.h {
+		return false, false, nil // the round ended inside the segment
+	}
+	if err := w.Reenter(p.r, 1); err != nil {
+		return false, false, err
+	}
+	p.most = max(p.most, len(w.log.pieces))
+	return true, false, nil
+}
+
+func (p *reentryProvider) Closed(w *Walker) (bool, error) {
+	start, err := p.r.entry(w.cur.Src)
+	if err != nil {
+		return false, err
+	}
+	closed, _, err := p.r.covered(start, w.cur.Bound)
+	return closed, err
+}
+
+func (p *reentryProvider) Retry(w *Walker) error {
+	if w.cur.Rounds >= p.maxRounds {
+		return ErrSequenceExhausted
+	}
+	return nil
+}
+
+// TestReplayLogBound checks the replay log's trimming on a round that
+// re-enters every h hops (h at most one ring): it never holds more than
+// ceil(ring/h)+1 pieces — the suffix a ring-long tail needs, plus the live
+// piece — and the spans still count every hop the walk made.
+func TestReplayLogBound(t *testing.T) {
+	r := newRouter(t, gen.UDG2D(64, 0.3, 1).G, Config{Seed: 5, LengthFactor: 1})
+	for _, c := range []struct{ ring, h int }{
+		{7, 1}, {7, 3}, {7, 7}, {256, 1}, {256, 64}, {256, 100}, {256, 256},
+	} {
+		p := &reentryProvider{r: r, h: int64(c.h), maxRounds: 6}
+		tc := trace.New(trace.Config{SampleRate: 1, HopRing: c.ring})
+		tr := tc.StartRequest("walk", "")
+		res, _, err := Walk(trace.NewContext(context.Background(), tr.Root()), p, "route", 0, 63, 0, nil)
+		tr.Finish()
+		if err != nil && !errors.Is(err, ErrSequenceExhausted) {
+			t.Fatalf("ring %d h %d: %v", c.ring, c.h, err)
+		}
+		if bound := (c.ring+c.h-1)/c.h + 1; p.most > bound || p.most < 2 {
+			t.Fatalf("ring %d h %d: the replay log held up to %d pieces, want 2..%d", c.ring, c.h, p.most, bound)
+		}
+		var hops int64
+		for _, sp := range tr.Export().Spans {
+			hops += sp.HopTotal
+		}
+		if hops != res.Hops {
+			t.Fatalf("ring %d h %d: spans counted %d hops, the walk made %d", c.ring, c.h, hops, res.Hops)
+		}
+	}
 }

@@ -17,10 +17,11 @@
 // A Tracer starts one Trace per request. The Trace owns a tree of Spans;
 // every Span carries key/value attributes, a bounded list of timed Events
 // (round starts, epoch advances, snapshot resumptions), and a fixed-size
-// ring of HopEvents that keeps the *tail* of the walk — the last
-// DefaultHopRing hops before the verdict, which for a slow walk is exactly
-// the evidence worth keeping (where the message was when the budget ran
-// out), at O(1) memory however long the walk ran.
+// ring of HopEvents, allocated by its first hop, that keeps the *tail* of
+// the walk — the last DefaultHopRing hops before the verdict, which for a
+// slow walk is exactly the evidence worth keeping (where the message was
+// when the budget ran out), at O(1) memory however long the walk ran.
+// Spans that record no hops (a request, a compile) allocate no ring.
 //
 // # Sampling and retention
 //
@@ -39,7 +40,8 @@
 // keep landing.
 //
 // Concurrency: one Trace/Span tree belongs to one request goroutine while
-// recording (hop rings are single-writer by design); finished traces are
-// immutable and safely shared by recorder readers. The Tracer and
-// Recorder themselves are fully concurrent-safe.
+// recording (a hop ring has one writer, the walk that owns the span, which
+// fills it when its round ends); finished traces are immutable and safely
+// shared by recorder readers. The Tracer and Recorder themselves are fully
+// concurrent-safe.
 package trace

@@ -114,17 +114,10 @@ func (sp *Span) export() SpanExport {
 		se.Events = append(se.Events, EventExport{Time: ev.Time, Name: ev.Name, Attrs: attrMap(ev.Attrs)})
 	}
 	// Unroll the tail ring into hop order, oldest retained hop first.
-	n := int64(len(sp.hops))
-	if sp.hopTotal > 0 {
-		kept := sp.hopTotal
-		if kept > n {
-			kept = n
-			se.HopsDropped = sp.hopTotal - n
-		}
-		se.Hops = make([]HopEvent, 0, kept)
-		for h := sp.hopTotal - kept; h < sp.hopTotal; h++ {
-			se.Hops = append(se.Hops, sp.hops[h%n])
-		}
+	se.HopsDropped = sp.hopTotal - int64(len(sp.hops))
+	if len(sp.hops) > 0 {
+		se.Hops = make([]HopEvent, 0, len(sp.hops))
+		se.Hops = append(append(se.Hops, sp.hops[sp.hopNext:]...), sp.hops[:sp.hopNext]...)
 	}
 	return se
 }

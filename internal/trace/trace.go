@@ -238,7 +238,6 @@ func (tr *Trace) newSpan(name string, parent SpanID) *Span {
 		name:   name,
 		start:  time.Now(),
 		events: make([]Event, 0, 8),
-		hops:   make([]HopEvent, tr.tracer.cfg.HopRing),
 	}
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, sp)
@@ -270,8 +269,9 @@ type Event struct {
 // HopEvent is one message hop of a walk: the hop ordinal within the span,
 // the original-graph node the message stands at after the hop, the header
 // index, the serialized header size (Theorem 1's O(log n), observed per
-// hop), and the walk direction. Untimed: a clock read per hop would cost
-// more than the hop.
+// hop), and the walk direction. It is untimed: a clock read per hop would
+// cost more than the hop, and a walker that recomputes its tail from a saved
+// (position, header) state records the hops after they happened.
 type HopEvent struct {
 	Hop        int64 `json:"hop"`
 	Node       int64 `json:"node"`
@@ -297,9 +297,12 @@ type Span struct {
 	events        []Event
 	eventsDropped int64
 
-	// hops is the tail-capture ring: hopTotal counts every hop, the ring
-	// keeps the most recent len(hops) of them.
+	// hops is the tail-capture ring, allocated by the first Hop with
+	// capacity Config.HopRing: hopTotal counts every hop, recorded or
+	// skipped, the ring keeps the most recent cap(hops) recorded ones, and
+	// hopNext is the slot the next one overwrites once the ring is full.
 	hops     []HopEvent
+	hopNext  int
 	hopTotal int64
 }
 
@@ -353,23 +356,44 @@ func (sp *Span) Event(name string, attrs ...Attr) {
 	sp.events = append(sp.events, Event{Time: time.Now(), Name: name, Attrs: attrs})
 }
 
-// Hop records one walk hop into the tail ring: constant work, no
-// allocation, no clock read.
+// Hop records one walk hop into the tail ring, stamping its ordinal: no
+// clock read, and no allocation after the span's first hop.
 func (sp *Span) Hop(ev HopEvent) {
 	if sp == nil {
 		return
 	}
 	ev.Hop = sp.hopTotal
-	sp.hops[sp.hopTotal%int64(len(sp.hops))] = ev
 	sp.hopTotal++
+	if sp.hops == nil {
+		sp.hops = make([]HopEvent, 0, sp.HopRing())
+	}
+	if len(sp.hops) < cap(sp.hops) {
+		sp.hops = append(sp.hops, ev)
+		return
+	}
+	sp.hops[sp.hopNext] = ev
+	if sp.hopNext++; sp.hopNext == len(sp.hops) {
+		sp.hopNext = 0
+	}
 }
 
-// HopCount returns the total hops recorded (including dropped ones).
-func (sp *Span) HopCount() int64 {
+// SkipHops counts n hops older than the ones about to be recorded, without
+// keeping them: a recorder that replays only a walk's tail calls it once
+// before the tail's Hops, so every ordinal and the hop total come out as if
+// each hop had been recorded.
+func (sp *Span) SkipHops(n int64) {
+	if sp == nil {
+		return
+	}
+	sp.hopTotal += n
+}
+
+// HopRing returns the capacity of the span's hop tail (0 on nil).
+func (sp *Span) HopRing() int {
 	if sp == nil {
 		return 0
 	}
-	return sp.hopTotal
+	return sp.trace.tracer.cfg.HopRing
 }
 
 // End closes the span. Idempotent.

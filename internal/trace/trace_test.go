@@ -219,6 +219,37 @@ func TestSpanTreeAndExport(t *testing.T) {
 	}
 }
 
+// TestSkipHops checks a tail recorded after SkipHops: the skipped hops
+// count toward the total and the ordinals, and only recorded hops are kept
+// — in order, across the ring's wrap — while a span without hops exports
+// none.
+func TestSkipHops(t *testing.T) {
+	tc := New(Config{SampleRate: 1, HopRing: 4})
+	tr := tc.StartRequest("req", "")
+	for _, c := range []struct{ skip, record, dropped int64 }{{100, 3, 100}, {100, 6, 102}, {0, 9, 5}} {
+		sp := tr.Root().Child("walk")
+		sp.SkipHops(c.skip)
+		for i := int64(0); i < c.record; i++ {
+			sp.Hop(HopEvent{Node: c.skip + i})
+		}
+		ex := sp.export()
+		if ex.HopTotal != c.skip+c.record || ex.HopsDropped != c.dropped || int64(len(ex.Hops)) != c.record-(c.dropped-c.skip) {
+			t.Fatalf("skip %d record %d: total=%d dropped=%d kept=%d", c.skip, c.record, ex.HopTotal, ex.HopsDropped, len(ex.Hops))
+		}
+		for i, h := range ex.Hops {
+			if want := c.dropped + int64(i); h.Hop != want || h.Node != want {
+				t.Fatalf("skip %d record %d: tail hop %d = %+v", c.skip, c.record, i, h)
+			}
+		}
+	}
+	if ex := tr.Root().export(); ex.HopTotal != 0 || ex.HopsDropped != 0 || ex.Hops != nil {
+		t.Fatalf("span without hops exported %+v", ex)
+	}
+	if tr.Root().HopRing() != 4 {
+		t.Fatalf("HopRing %d, want 4", tr.Root().HopRing())
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	var sp *Span
@@ -229,13 +260,14 @@ func TestNilSafety(t *testing.T) {
 	if tr.Sampled() || tr.Err() != "" || tr.Traceparent() != "" || !tr.ID().IsZero() || tr.Root() != nil || tr.Duration() != 0 {
 		t.Fatal("nil Trace not inert")
 	}
-	if sp.Recording() || sp.Child("c") != nil || sp.HopCount() != 0 || !sp.ID().IsZero() {
+	if sp.Recording() || sp.Child("c") != nil || sp.HopRing() != 0 || !sp.ID().IsZero() {
 		t.Fatal("nil Span not inert")
 	}
 	sp.SetAttr(String("k", "v"))
 	sp.SetName("n")
 	sp.Event("e")
 	sp.Hop(HopEvent{})
+	sp.SkipHops(3)
 	sp.End()
 }
 
