@@ -316,6 +316,29 @@ func BenchmarkPreparedRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkCountComponent measures a prepared CountNodes (§4): its doubling
+// rounds' local cover walks and closure checks, cycling through the grid's
+// 36 sources.
+func BenchmarkCountComponent(b *testing.B) {
+	nw := NewGrid(6, 6)
+	r, err := nw.Compile(WithSeed(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := nw.Nodes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.CountComponent(nodes[i%len(nodes)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Count != 36 {
+			b.Fatal("count incomplete")
+		}
+	}
+}
+
 // BenchmarkRouteBatch measures the batch fan-out: 64 queries per
 // operation across the worker pool (per-query cost = ns/op ÷ 64).
 func BenchmarkRouteBatch(b *testing.B) {

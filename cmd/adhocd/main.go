@@ -299,7 +299,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	// Reject a typoed -slo before the server boots (newServer treats a
 	// binding failure as a wiring bug and panics).
 	if spec := resolveSLOSpec(*sloSpec); spec != "" {
-		if _, err := buildObjectives(eng, spec); err != nil {
+		if _, err := buildObjectives(eng, nil, spec); err != nil {
 			return err
 		}
 	}

@@ -90,6 +90,22 @@ func (hm *httpMetrics) record(pattern string, status int, start time.Time, trace
 	}
 }
 
+// serverErrors totals every metered request and the 5xx answers among
+// them — the server's own failures, which the errors==0 objective counts.
+func (hm *httpMetrics) serverErrors() (total, bad int64) {
+	count := func(ep *endpointMetrics) {
+		for c := 1; c <= 5; c++ {
+			total += ep.classes[c].Value()
+		}
+		bad += ep.classes[5].Value()
+	}
+	for _, ep := range hm.endpoints {
+		count(ep)
+	}
+	count(hm.other)
+	return total, bad
+}
+
 // statusRecorder captures the response status for metering. A handler
 // that never calls WriteHeader implicitly answers 200.
 type statusRecorder struct {

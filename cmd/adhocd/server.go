@@ -251,7 +251,10 @@ func newServer(eng *engine.Engine, pos map[graph.NodeID]geom.Point, desc string,
 	// validated the flag value against the same builder, so a failure here
 	// is a wiring bug, not user input.
 	if spec := resolveSLOSpec(cfg.sloSpec); spec != "" {
-		objs, err := buildObjectives(s.eng, spec)
+		// s.hm is built with the endpoint table below; the closure reads
+		// it when the evaluator ticks, after newServer returns.
+		serverErrors := slo.SourceFunc(func() (int64, int64) { return s.hm.serverErrors() })
+		objs, err := buildObjectives(s.eng, serverErrors, spec)
 		if err != nil {
 			panic(fmt.Sprintf("adhocd: %v", err))
 		}
@@ -577,8 +580,11 @@ type errorBody struct {
 
 // writeErr maps routing errors onto HTTP statuses: unknown nodes are 404,
 // an unusable resume cursor or an unsupported budget combination is 400
-// (the client sent it), everything else a query can provoke is 500 (the
-// engine validated the request shape by then).
+// (the client sent it), a dynamic walk that spent the client's round
+// budget without a verdict is 422, everything else a query can provoke is
+// 500 (the engine validated the request shape by then). The status
+// decides whose fault an error is: the errors==0 objective counts only
+// the 5xx answers.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -586,6 +592,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, route.ErrBadCursor), errors.Is(err, route.ErrBudgetUnsupported):
 		status = http.StatusBadRequest
+	case errors.Is(err, dynamic.ErrRoundsExhausted):
+		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }

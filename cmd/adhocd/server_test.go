@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -364,6 +365,18 @@ func TestDynamicEndpoint(t *testing.T) {
 	}
 	if info.Nodes != 21 {
 		t.Fatalf("served network changed: %+v", info)
+	}
+}
+
+// TestDynamicRoundBudget checks that a walk running out of the client's own
+// max_rounds is answered as the client's limit (422), not a server failure.
+func TestDynamicRoundBudget(t *testing.T) {
+	ts := testServer(t)
+	var eb errorBody
+	if code := postJSON(t, ts, "/v1/dynamic",
+		`{"src":0,"dst":15,"schedule":{"kind":"waypoint","radius":0.3,"speed_max":0.2,"seed":2},"max_rounds":1,"hops_per_epoch":8}`,
+		&eb); code != http.StatusUnprocessableEntity || !strings.Contains(eb.Error, "round budget exhausted") {
+		t.Fatalf("round budget: code %d (%+v), want 422", code, eb)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // defaultSLOSpec is the -slo default: the latency objectives an operator
 // gets for free, the paper-derived hop-stretch bound (Theorem 1's
 // c·n·log2(n) with a 4x safety factor, resolved against the boot network's
-// reduced size), a zero-tolerance engine-error objective, and the
+// reduced size), a zero-tolerance server-error (5xx) objective, and the
 // client-evaluated wrong-verdict objective loadgen -slo enforces.
 const defaultSLOSpec = "route_p99<250ms,dynamic_p99<500ms,hop_p99<4log,errors==0,wrong_verdicts==0"
 
@@ -32,11 +32,12 @@ func resolveSLOSpec(spec string) string {
 }
 
 // buildObjectives parses an objective spec and binds each declaration to
-// a source over the given engine's existing metrics. Unknown names are an
-// error: a typoed objective must not silently never burn. run() calls it
-// once against the boot engine to reject a bad -slo flag cleanly before
-// newServer (which treats a failure here as a wiring bug).
-func buildObjectives(eng *engine.Engine, spec string) ([]slo.Objective, error) {
+// a source over the given engine's existing metrics, and errors==0 to
+// serverErrors. Unknown names are an error: a typoed objective must not
+// silently never burn. run() calls it once against the boot engine (with
+// no serverErrors) to reject a bad -slo flag cleanly before newServer
+// (which treats a failure here as a wiring bug).
+func buildObjectives(eng *engine.Engine, serverErrors slo.Source, spec string) ([]slo.Objective, error) {
 	decls, err := slo.Parse(spec)
 	if err != nil {
 		return nil, err
@@ -57,10 +58,9 @@ func buildObjectives(eng *engine.Engine, spec string) ([]slo.Objective, error) {
 			// loadgen -slo to enforce; never burns server-side.
 			obj.ClientEvaluated = true
 		case d.Zero && d.Name == "errors":
-			obj.Source = slo.SourceFunc(func() (int64, int64) {
-				st := eng.Stats()
-				return st.Queries(), st.Errors
-			})
+			// Server failures only: a client error (4xx) is the
+			// client's and must not spend the budget.
+			obj.Source = serverErrors
 		case d.Zero:
 			return nil, fmt.Errorf("slo: unknown zero-tolerance objective %q (want errors or wrong_verdicts)", d.Name)
 		case d.Latency > 0:

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -283,6 +284,53 @@ func TestNetworkVecStorm(t *testing.T) {
 	om, _ := fetchMetrics(t, ts, obs.ContentTypeOpenMetrics)
 	if errs := obs.Lint(om, true); errs != nil {
 		t.Fatalf("openmetrics lint after storm: %v", errs)
+	}
+}
+
+// TestErrorsObjectiveCountsServerFailures checks that the default
+// errors==0 objective burns on server failures only: routes from an
+// unknown source (404s, the client's fault) mixed with good ones leave it
+// quiet, while injected 500s burn it.
+func TestErrorsObjectiveCountsServerFailures(t *testing.T) {
+	eng, err := engine.Compile(gen.Grid(4, 4), engine.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		cfg     serverConfig
+		burning bool
+	}{
+		{"client errors", serverConfig{}, false},
+		{"server errors", serverConfig{chaos: chaos.New(chaos.Config{Seed: 1, RequestFailRate: 1})}, true},
+	} {
+		srv := newServer(eng, nil, "errors objective", c.cfg)
+		base := time.Now()
+		var ticks atomic.Int64
+		srv.sloNow = func() time.Time {
+			return base.Add(time.Duration(ticks.Add(1)) * 2 * time.Second)
+		}
+		ts := httptest.NewServer(srv)
+		// Two snapshot windows of traffic: the second report sees a
+		// bad-event delta in both windows.
+		var rep []slo.ObjectiveReport
+		for range 2 {
+			for range 4 {
+				postJSON(t, ts, "/v1/route", `{"src":0,"dst":15}`, nil)
+				postJSON(t, ts, "/v1/route", `{"src":999,"dst":0}`, nil)
+			}
+			rep = srv.slo.Report(srv.sloNow())
+		}
+		ts.Close()
+		var errs *slo.ObjectiveReport
+		for i := range rep {
+			if rep[i].Name == "errors" {
+				errs = &rep[i]
+			}
+		}
+		if errs == nil || errs.Burning != c.burning {
+			t.Fatalf("%s: errors objective %+v, want burning %t", c.name, errs, c.burning)
+		}
 	}
 }
 

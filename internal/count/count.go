@@ -20,8 +20,10 @@
 // each, the cost the paper accepts for the counting result. ModeLocal
 // computes the identical answer by simulating the walks at the source; it
 // exists so experiments can scale the correctness claim to sizes where the
-// message-faithful cost (Θ(L³) hops) is prohibitive. Both modes return
-// identical counts (tested).
+// message-faithful cost (Θ(L³) hops) is prohibitive: each of its rounds is
+// one route.Cover, the local cover walk and closure check the router's
+// failed rounds and broadcasts run too, whose probe count is the Retrieve
+// count. Both modes return identical counts (tested).
 package count
 
 import (
@@ -29,9 +31,9 @@ import (
 	"fmt"
 
 	"repro/internal/degred"
-	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/route"
 	"repro/internal/ues"
 )
 
@@ -60,9 +62,10 @@ type Config struct {
 	Mode Mode
 	// MaxBound caps the doubling loop (0 = 4·|V(G′)|).
 	MaxBound int
-	// DisableFlat forces ModeLocal rounds through the generic walk even
-	// when the compiled flat snapshot is available (differential tests and
-	// debugging; ModeMessages always runs real messages regardless).
+	// DisableFlat forces ModeLocal rounds through route.Cover's reference
+	// walk even when the compiled flat snapshot is available (differential
+	// tests and debugging; ModeMessages always runs real messages
+	// regardless).
 	DisableFlat bool
 }
 
@@ -83,15 +86,14 @@ type Result struct {
 	Hops int64
 }
 
-// Counter counts component sizes on a fixed graph. ModeLocal rounds run on
-// the compiled flat snapshot shared with any Router built from the same
-// reduction; ModeMessages executes real message walks on the reference
-// token engine.
+// Counter counts component sizes on a fixed graph. ModeLocal rounds are
+// route.Cover walks of a Router over the same reduction, on its compiled
+// flat snapshot unless DisableFlat; ModeMessages executes real message
+// walks on the reference token engine.
 type Counter struct {
-	orig *graph.Graph
 	red  *degred.Reduced
 	work *graph.Graph
-	flat *flatgraph.Graph
+	r    *route.Router
 	cfg  Config
 }
 
@@ -114,7 +116,11 @@ func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Counter, 
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeLocal
 	}
-	return &Counter{orig: g, red: red, work: red.Graph(), flat: red.Flat(), cfg: cfg}, nil
+	r, err := route.NewFromReduced(g, red, route.Config{Seed: cfg.Seed, LengthFactor: cfg.LengthFactor, DisableFlat: cfg.DisableFlat})
+	if err != nil {
+		return nil, fmt.Errorf("count: %w", err)
+	}
+	return &Counter{red: red, work: red.Graph(), r: r, cfg: cfg}, nil
 }
 
 // Count runs Algorithm CountNodes(s) (§4).
@@ -122,13 +128,6 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 	start, ok := c.red.Entry(s)
 	if !ok {
 		return nil, fmt.Errorf("count: %w: %d", graph.ErrNodeNotFound, s)
-	}
-	var flatStart int32
-	useFlat := c.cfg.Mode == ModeLocal && !c.cfg.DisableFlat && c.flat != nil && c.flat.Regular3()
-	if useFlat {
-		fi, ok := c.flat.Index(start)
-		useFlat = ok
-		flatStart = fi
 	}
 	maxBound := c.cfg.MaxBound
 	if maxBound <= 0 {
@@ -143,8 +142,8 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 		res.Bound = bound
 		var covered bool
 		var err error
-		if useFlat {
-			covered, err = c.flatRound(flatStart, bound, res)
+		if c.cfg.Mode == ModeLocal {
+			covered, err = c.localRound(s, bound, res)
 		} else {
 			seq := c.sequence(bound)
 			covered, err = c.closureCheck(start, seq, res)
@@ -164,38 +163,26 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 	}
 }
 
-// flatRound runs one ModeLocal doubling round on the compiled flat
-// snapshot: the full walk, the closure check with identical Retrieve
-// accounting (first-visit order, first miss aborts), and — once covered —
-// the distinct-identifier counts at both graph levels.
-func (c *Counter) flatRound(start int32, bound int, res *Result) (bool, error) {
-	fs := flatgraph.Seq{Seed: c.cfg.Seed, Base: 3, Length: ues.Length(bound, c.cfg.LengthFactor)}
-	visited := make([]bool, c.flat.NumNodes())
-	order, err := c.flat.CoverWalk(start, fs, visited, make([]int32, 0, c.flat.NumNodes()))
+// localRound runs one ModeLocal doubling round: the local cover walk, its
+// closure check with the Retrieve accounting (first-visit order, first miss
+// aborts), and — once covered — the distinct-identifier counts at both
+// graph levels.
+func (c *Counter) localRound(s graph.NodeID, bound int, res *Result) (bool, error) {
+	cov, err := c.r.Cover(s, bound, true)
 	if err != nil {
-		return false, fmt.Errorf("count: flat walk: %w", err)
+		return false, err
 	}
-	for _, v := range order {
-		deg := c.flat.Degree(v)
-		for j := int32(0); j < deg; j++ {
-			res.Retrieves++
-			if !visited[c.flat.Half(v, j).To] {
-				return false, nil // NewNodeDiscovered: skip to while
-			}
-		}
+	covered, probes, err := cov.Closed()
+	res.Retrieves += probes
+	if covered {
+		res.ReducedCount, res.OriginalCount = cov.Size(), len(cov.Originals())
 	}
-	res.ReducedCount = len(order)
-	origs := make(map[graph.NodeID]bool, len(order))
-	for _, v := range order {
-		origs[c.flat.OriginalOf(v)] = true
-	}
-	res.OriginalCount = len(origs)
-	return true, nil
+	return covered, err
 }
 
 // sequence returns T_bound in its compiled form (length frozen at
-// construction), keeping the Θ(log n) length recomputation out of the walk
-// loops of the generic path.
+// construction), keeping the Θ(log n) length recomputation out of the
+// message walks.
 func (c *Counter) sequence(bound int) ues.Sequence {
 	p := &ues.Pseudorandom{
 		Seed:         c.cfg.Seed,
@@ -212,25 +199,6 @@ func (c *Counter) sequence(bound int) ues.Sequence {
 // while"). Position 0 is the start itself.
 func (c *Counter) closureCheck(start graph.NodeID, seq ues.Sequence, res *Result) (bool, error) {
 	l := seq.Len()
-	if c.cfg.Mode == ModeLocal {
-		order, visited, err := c.localVisited(start, seq)
-		if err != nil {
-			return false, err
-		}
-		for _, v := range order {
-			for j := 0; j < c.work.Degree(v); j++ {
-				res.Retrieves++
-				h, err := c.work.Neighbor(v, j)
-				if err != nil {
-					return false, err
-				}
-				if !visited[h.To] {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
 	for i := 0; i <= l; i++ {
 		for j := 0; j < 3; j++ {
 			u, err := c.retrieveNeighbor(start, seq, i, j, res)
@@ -258,22 +226,8 @@ func (c *Counter) closureCheck(start graph.NodeID, seq ues.Sequence, res *Result
 
 // countDistinct is the paper's final counting loop: NodeCount over distinct
 // identifiers among v_0..v_L, comparing each position against all earlier
-// positions. ModeLocal materializes the set; ModeMessages replays walks.
+// positions, by replaying walks.
 func (c *Counter) countDistinct(start graph.NodeID, seq ues.Sequence, res *Result) error {
-	if c.cfg.Mode == ModeLocal {
-		_, visited, err := c.localVisited(start, seq)
-		if err != nil {
-			return err
-		}
-		res.ReducedCount = len(visited)
-		origs := make(map[graph.NodeID]bool, len(visited))
-		for v := range visited {
-			o, _ := c.red.Original(v)
-			origs[o] = true
-		}
-		res.OriginalCount = len(origs)
-		return nil
-	}
 	l := seq.Len()
 	reduced, originals := 0, 0
 	for i := 0; i <= l; i++ {
@@ -316,26 +270,6 @@ func (c *Counter) countDistinct(start graph.NodeID, seq ues.Sequence, res *Resul
 	res.ReducedCount = reduced
 	res.OriginalCount = originals
 	return nil
-}
-
-// localVisited simulates the walk at the source and returns the visited
-// nodes in first-visit order plus the visited set (the ModeLocal oracle).
-func (c *Counter) localVisited(start graph.NodeID, seq ues.Sequence) ([]graph.NodeID, map[graph.NodeID]bool, error) {
-	visited := map[graph.NodeID]bool{start: true}
-	order := []graph.NodeID{start}
-	pos := ues.Start(start)
-	for i := 1; i <= seq.Len(); i++ {
-		next, err := ues.Step(c.work, pos, seq.At(i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("count: local walk: %w", err)
-		}
-		pos = next
-		if !visited[pos.Node] {
-			visited[pos.Node] = true
-			order = append(order, pos.Node)
-		}
-	}
-	return order, visited, nil
 }
 
 // retrieve returns Retrieve(s, T, i): the identifier of the i-th node of

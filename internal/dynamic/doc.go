@@ -26,7 +26,9 @@
 // construction (every hop traversed a then-existing edge, so reaching a
 // gadget of t is a real delivery); a failure verdict is only reported
 // after the §4 closure check certifies, on the instantaneous topology,
-// that t lies outside the source's component.
+// that t lies outside the source's component. The route driver runs that
+// check itself (route.Cover), on the snapshot the provider reports as
+// current when the round fails.
 //
 // Concurrency contract: a World is safe for concurrent use — any number
 // of Routers may share one (the serving layer's named long-lived worlds),

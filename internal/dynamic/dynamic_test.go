@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/route"
 )
 
 // --- World mechanics ---
@@ -340,6 +341,50 @@ func TestDeliveryUnderMobility(t *testing.T) {
 	}
 	if verdicts == 0 {
 		t.Fatal("mobility runs produced no verdicts at all")
+	}
+}
+
+// linkAt adds the link u–v at one epoch.
+type linkAt struct {
+	u, v  graph.NodeID
+	epoch int
+}
+
+func (s linkAt) Advance(w *World, epoch int, _ Probe) error {
+	if epoch != s.epoch {
+		return nil
+	}
+	_, _, err := w.AddEdge(s.u, s.v)
+	return err
+}
+
+// TestLateLinkFailsNoRound checks the decision-time closure check's t test:
+// two isolated nodes are linked at the epoch boundary that falls exactly
+// where the first round fails. The check then runs on a topology whose
+// closed cover of the source holds t, so the failure is no verdict and a
+// later round delivers.
+func TestLateLinkFailsNoRound(t *testing.T) {
+	g := graph.New()
+	g.EnsureNode(0)
+	g.EnsureNode(1)
+	sr, err := route.New(g, route.Config{Seed: 1, DisableCertificates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sr.Route(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disableFlat := range []bool{false, true} {
+		w := NewWorld(g, linkAt{u: 0, v: 1, epoch: 1})
+		cfg := Config{Seed: 1, HopsPerEpoch: int(first.Rounds[0].Hops), DisableCertificates: true, DisableFlat: disableFlat}
+		res, err := NewRouter(w, cfg).Route(0, 1)
+		if err != nil {
+			t.Fatalf("DisableFlat %t: %v", disableFlat, err)
+		}
+		if res.Status != netsim.StatusSuccess || res.Rounds < 2 {
+			t.Fatalf("DisableFlat %t: status %v after %d rounds, want success after at least 2", disableFlat, res.Status, res.Rounds)
+		}
 	}
 }
 

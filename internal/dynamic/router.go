@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/degred"
-	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/route"
@@ -46,9 +45,10 @@ type Config struct {
 	// (0 = DefaultLookahead).
 	Lookahead int
 	// DisableFlat drives the walk through the netsim reference stepper and
-	// the stateless per-node handler instead of the compiled flat stepper.
-	// The two are hop-for-hop identical (pinned by the differential
-	// tests); the reference path exists for those tests and debugging.
+	// the stateless per-node handler instead of the compiled flat stepper,
+	// and the closure check through the reference cover walk. The two are
+	// hop-for-hop identical (pinned by the differential tests); the
+	// reference path exists for those tests and debugging.
 	// Budgeted routing (RouteBudgeted) requires the flat path.
 	DisableFlat bool
 	// DisableCertificates skips the O(1) component-index check at route
@@ -92,8 +92,9 @@ func (c Config) lookahead() int {
 // Result is the outcome of a dynamic route.
 type Result struct {
 	// Status is StatusSuccess if (a gadget of) t was physically reached,
-	// StatusFailure if the §4 closure check certified, on the topology at
-	// decision time, that t lies outside the source component.
+	// StatusFailure if the route driver's §4 closure check certified, on
+	// the snapshot current at decision time, that t lies outside the
+	// source component.
 	Status netsim.Status
 	// Hops is the total message hops across all rounds and snapshots.
 	Hops int64
@@ -231,7 +232,8 @@ func (r *Router) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 // on the evolving world: the driver consults it at round starts and at
 // hop-segment ends, where it advances the epoch clock, pays the per-hop
 // chaos delay, enforces the per-round hop cap, and moves the walk onto each
-// recompiled snapshot.
+// recompiled snapshot. The driver also reads Snapshot after a failed round:
+// its closure check walks the snapshot current at decision time.
 type worldWalk struct {
 	r      *Router
 	chaos  *chaos.Injector
@@ -332,40 +334,4 @@ func (p *worldWalk) Retry(w *route.Walker) error {
 		return fmt.Errorf("%w: %d rounds", ErrRoundsExhausted, rounds)
 	}
 	return nil
-}
-
-// Closed implements route.Provider with the decision-time §4 closure check
-// on the instantaneous topology: walk T_bound from the source entry, and
-// accept the failure verdict only if the visited set is closed under
-// neighbourhood (it equals the source component) and contains no gadget of
-// t. This is what makes a dynamic failure verdict oracle-sound: it
-// certifies unreachability on the topology as it stands at decision time.
-func (p *worldWalk) Closed(w *route.Walker) (bool, error) {
-	st := w.State()
-	red, flat, err := p.r.w.Compiled()
-	if err != nil {
-		return false, err
-	}
-	entry, ok := red.Entry(st.Src)
-	if !ok {
-		return false, fmt.Errorf("dynamic: cover check: %w: %d", graph.ErrNodeNotFound, st.Src)
-	}
-	dense, ok := flat.Index(entry)
-	if !ok {
-		return false, fmt.Errorf("dynamic: cover check: gadget %d missing from snapshot", entry)
-	}
-	seq := flatgraph.Seq{Seed: p.r.cfg.Seed, Base: 3, Length: ues.Length(st.Bound, p.r.cfg.LengthFactor)}
-	visited := make([]bool, flat.NumNodes())
-	if _, err := flat.CoverWalk(dense, seq, visited, nil); err != nil {
-		return false, fmt.Errorf("dynamic: cover check: %w", err)
-	}
-	if !flat.Closed(visited) {
-		return false, nil
-	}
-	for i, vis := range visited {
-		if vis && flat.OriginalOf(int32(i)) == st.Dst {
-			return false, nil // t is reachable right now; not a failure
-		}
-	}
-	return true, nil
 }

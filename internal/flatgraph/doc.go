@@ -24,7 +24,8 @@
 // Two walkers remain. RouteStepper.Run is the one metered, resumable hop
 // loop: every route and broadcast round of package route runs on it, and
 // RouteWalk is one unbounded Run. CoverWalk is the unmetered local walk
-// behind the §4 closure check and the counting walks.
+// behind route.Cover, which runs the §4 closure check of every failed
+// round, broadcast, and ModeLocal counting round.
 //
 // Concurrency contract: a compiled Graph is immutable after Compile and
 // safe for any number of concurrent walkers — every walk loop works

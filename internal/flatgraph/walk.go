@@ -83,9 +83,9 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 // CoverWalk walks seq from (start, port 0) to its end, marking every
 // visited node in the dense visited set (length NumNodes). If order is
 // non-nil, dense indices are appended in first-visit order (starting with
-// start) and the grown slice is returned. This is the local simulation
-// behind the §4 closure check and the counting walks — no metering, no
-// messages.
+// start) and the grown slice is returned; a nil order records nothing.
+// This is the local simulation behind route.Cover — the §4 closure check
+// and the counting walks — with no metering and no messages.
 func (f *Graph) CoverWalk(start int32, seq Seq, visited []bool, order []int32) ([]int32, error) {
 	if !f.regular3 || seq.Base != 3 {
 		return order, ErrNotRegular

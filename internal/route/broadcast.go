@@ -39,10 +39,6 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 	if !r.orig.HasNode(s) {
 		return nil, fmt.Errorf("route: source: %w: %d", graph.ErrNodeNotFound, s)
 	}
-	start, err := r.entry(s)
-	if err != nil {
-		return nil, err
-	}
 	if r.cfg.Confirm != ConfirmBacktrack {
 		br := *r
 		br.cfg.Confirm = ConfirmBacktrack
@@ -74,11 +70,11 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 	}
 	cover := w.cover
 	if r.cfg.KnownN > 0 {
-		if cover, err = r.cover(start, res.Bound); err != nil {
+		if cover, err = r.Cover(s, res.Bound, false); err != nil {
 			return out, err
 		}
 	}
-	out.Nodes = r.originals(cover)
+	out.Nodes = cover.Originals()
 	out.Reached = len(out.Nodes)
 	return out, nil
 }

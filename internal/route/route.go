@@ -19,21 +19,21 @@
 // One driver runs every walk: Walker holds the walk's state — a Cursor
 // plus the live round stepper — and runs the doubling schedule (nextBound),
 // each round in hop segments on the compiled flat stepper
-// (flatgraph.RouteStepper.Run) or the netsim reference stepper, and the §4
-// closure check after a failed round. Route runs it with no limit,
-// RouteBudgeted restores and mints cursors, Walker.Step advances one
-// activation, Broadcast walks toward a name no node carries, and package
-// dynamic plugs an evolving topology in as a Provider consulted at segment
-// ends. The request span travels in the context (trace.FromContext): a
+// (flatgraph.RouteStepper.Run) or the netsim reference stepper, and after
+// a failed round the §4 closure check: a Cover (the one local cover walk,
+// which package count's ModeLocal rounds also run) on the snapshot current
+// at that moment. Route runs it with no limit, RouteBudgeted restores and
+// mints cursors, Walker.Step advances one activation, Broadcast walks
+// toward a name no node carries, and package dynamic plugs an evolving
+// topology in as a Provider consulted at round starts, segment ends and
+// closure checks. The request span travels in the context (trace.FromContext): a
 // sampled span records one child span per round with the walk's hop tail.
 package route
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/bits"
-	"slices"
 
 	"repro/internal/degred"
 	"repro/internal/flatgraph"
@@ -389,89 +389,6 @@ func (r *Router) engineOptions() []netsim.Option {
 		opts = append(opts, netsim.WithWireFormat())
 	}
 	return opts
-}
-
-// coverSet is the node set a local cover walk visited, in the form the walk
-// built it: dense flags over the flat snapshot, or work-graph IDs on the
-// reference path.
-type coverSet struct {
-	dense []bool
-	ids   map[graph.NodeID]bool
-}
-
-// cover walks T_bound from the entry position start to its end and returns
-// the set of nodes it visited: the local simulation of the forward walk,
-// with no metering and no messages.
-func (r *Router) cover(start graph.NodeID, bound int) (coverSet, error) {
-	seq := r.sequence(bound)
-	if fs, ok := r.flatSeq(seq); ok {
-		si, ok := r.flat.Index(start)
-		if !ok {
-			return coverSet{}, fmt.Errorf("route: cover check: %w: %d", graph.ErrNodeNotFound, start)
-		}
-		visited := make([]bool, r.flat.NumNodes())
-		if _, err := r.flat.CoverWalk(si, fs, visited, nil); err != nil {
-			return coverSet{}, fmt.Errorf("route: cover check: %w", err)
-		}
-		return coverSet{dense: visited}, nil
-	}
-	work := r.WorkGraph()
-	visited := map[graph.NodeID]bool{start: true}
-	pos := ues.Start(start)
-	for i := 1; i <= seq.Len(); i++ {
-		next, err := ues.Step(work, pos, seq.At(i))
-		if err != nil {
-			return coverSet{}, fmt.Errorf("route: cover check: %w", err)
-		}
-		pos = next
-		visited[pos.Node] = true
-	}
-	return coverSet{ids: visited}, nil
-}
-
-// covered runs the §4 closure check for T_bound from the entry position:
-// it walks the sequence, collects the visited set V, and reports whether
-// every neighbour of V is in V (in which case V equals the component of s
-// and a failed search is definitive). It returns V as well. This is the
-// simulator-local equivalent of CountNodes' Retrieve loops; the
-// message-faithful version with its full quadratic message cost lives in
-// package count.
-func (r *Router) covered(start graph.NodeID, bound int) (bool, coverSet, error) {
-	v, err := r.cover(start, bound)
-	if err != nil {
-		return false, v, err
-	}
-	if v.ids == nil {
-		return r.flat.Closed(v.dense), v, nil
-	}
-	work := r.WorkGraph()
-	for u := range v.ids {
-		for p := 0; p < work.Degree(u); p++ {
-			h, err := work.Neighbor(u, p)
-			if err != nil {
-				return false, v, err
-			}
-			if !v.ids[h.To] {
-				return false, v, nil
-			}
-		}
-	}
-	return true, v, nil
-}
-
-// originals projects a cover set onto the original nodes it simulates, in
-// increasing order.
-func (r *Router) originals(v coverSet) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	for i, ok := range v.dense {
-		if ok {
-			seen[r.flat.OriginalOf(int32(i))] = true
-		}
-	}
-	for u := range v.ids {
-		seen[r.original(u)] = true
-	}
-	return slices.Sorted(maps.Keys(seen))
 }
 
 // routeHandler is Algorithm Route as a stateless per-node handler.

@@ -18,7 +18,9 @@ import (
 type Provider interface {
 	// Snapshot returns a router over the topology current now and the
 	// topology version it was compiled at. The driver calls it at every
-	// round start; a round begins at the source's entry on that snapshot.
+	// round start, where a round begins at the source's entry on that
+	// snapshot, and after a failed round, whose §4 closure check it decides
+	// on that snapshot.
 	Snapshot() (*Router, uint64, error)
 	// Limit caps the hops of the live round's next segment.
 	Limit(w *Walker) int64
@@ -27,9 +29,6 @@ type Provider interface {
 	// epoch reports that an epoch boundary passed, where the driver checks
 	// the context; abort that churn broke the round, which is retried.
 	SegmentEnd(w *Walker, hops int64) (epoch, abort bool, err error)
-	// Closed is the §4 closure check that makes a failed round's verdict
-	// definitive, decided on the topology current now.
-	Closed(w *Walker) (bool, error)
 	// Retry is consulted after a round that reached no verdict; a non-nil
 	// error ends the walk.
 	Retry(w *Walker) error
@@ -57,8 +56,8 @@ type Walker struct {
 	ref    *netsim.Stepper // the live round, when it runs on the reference engine
 	seqLen int
 
-	bounded bool     // a budget, deadline, or cursor is in play: rounds must run flat
-	cover   coverSet // the visited set of the last closure check
+	bounded bool   // a budget, deadline, or cursor is in play: rounds must run flat
+	cover   *Cover // the last closure check's walk, for Broadcast
 	sp, rsp *trace.Span
 	log     *hopLog // the sampled round's replay log (nil until a sampled walk enters the flat path)
 	done    bool
@@ -746,19 +745,26 @@ func (w *Walker) endRound() {
 	}
 }
 
-// closed runs the closure check of the failed round at the current bound
-// and keeps the set it visited.
+// closed runs the §4 closure check of the failed round at the current
+// bound, on the topology current now, and keeps its cover. The failure is
+// definitive only if the closed cover — the source's whole component —
+// does not hold t: an evolving topology may have joined the two since the
+// round walked.
 func (w *Walker) closed() (bool, error) {
+	r := w.r
 	if w.prov != nil {
-		return w.prov.Closed(w)
+		var err error
+		if r, _, err = w.prov.Snapshot(); err != nil {
+			return false, err
+		}
 	}
-	start, err := w.r.entry(w.cur.Src)
+	c, err := r.Cover(w.cur.Src, w.cur.Bound, false)
 	if err != nil {
 		return false, err
 	}
-	var closed bool
-	closed, w.cover, err = w.r.covered(start, w.cur.Bound)
-	return closed, err
+	w.cover = c
+	closed, _, err := c.Closed()
+	return closed && !c.holds(w.cur.Dst), err
 }
 
 // nextRound follows a round that reached no verdict with a fresh one,

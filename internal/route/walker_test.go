@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -135,6 +136,16 @@ func TestWalkerHopsMonotonic(t *testing.T) {
 	t.Fatal("did not terminate")
 }
 
+// TestWalkerSize keeps the per-query Walker in the 576-byte size class: Go
+// adds an 8-byte malloc header to pointerful objects over 512 bytes, so a
+// Walker over 568 bytes lands in the 640-byte class and every walk
+// allocates 64 bytes more.
+func TestWalkerSize(t *testing.T) {
+	if n := unsafe.Sizeof(Walker{}); n > 568 {
+		t.Fatalf("Walker is %d bytes, want at most 568", n)
+	}
+}
+
 // reentryProvider walks a static router as if its world recompiled every h
 // hops: each segment is h hops long and ends in a re-entry. After every
 // segment and every re-entry it records how many pieces the sampled
@@ -160,15 +171,6 @@ func (p *reentryProvider) SegmentEnd(w *Walker, hops int64) (epoch, abort bool, 
 	}
 	p.most = max(p.most, len(w.log.pieces))
 	return true, false, nil
-}
-
-func (p *reentryProvider) Closed(w *Walker) (bool, error) {
-	start, err := p.r.entry(w.cur.Src)
-	if err != nil {
-		return false, err
-	}
-	closed, _, err := p.r.covered(start, w.cur.Bound)
-	return closed, err
 }
 
 func (p *reentryProvider) Retry(w *Walker) error {
