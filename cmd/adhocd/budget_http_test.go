@@ -234,7 +234,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// Plain (unbudgeted) queries still finish normally during the drain —
-	// that is what -drain-timeout exists for.
+	// that is what -drain exists for.
 	var plain routeReply
 	if code := postJSON(t, ts, "/v1/route", `{"src":0,"dst":10}`, &plain); code != http.StatusOK ||
 		plain.Status != "success" {

@@ -91,10 +91,10 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: healthz flips to 503
 // ("draining") so load balancers drain it, in-flight requests finish
-// within -drain-timeout, and in-flight budgeted walks are interrupted at
-// their next round boundary so each returns a resume token; with
-// -drain-log those tokens are also appended to a file for a replacement
-// instance to replay.
+// within -drain, and in-flight budgeted walks are interrupted at their
+// next round boundary so each returns a resume token; with -drain-log
+// those tokens are also appended to a file for a replacement instance to
+// replay.
 package main
 
 import (
@@ -147,7 +147,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		known    = fs.Int("known", 0, "known component bound (0 = doubling loop)")
 		workers  = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 		drainFor = fs.Duration("drain", 5*time.Second, "graceful shutdown drain timeout")
-		drainAlt = fs.Duration("drain-timeout", 5*time.Second, "alias for -drain")
 		drainLog = fs.String("drain-log", "", "append resume tokens of walks interrupted by shutdown to this file (one JSON line each)")
 		pprofOn  = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (on the ops listener when -metrics-addr is set)")
 		metrics  = fs.String("metrics-addr", "", "serve GET /metrics (and /debug/pprof/ with -pprof) on this dedicated listener instead of the main port")
@@ -205,14 +204,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if *traceCap < 1 {
 		return fmt.Errorf("invalid -trace-capacity %d (want at least 1)", *traceCap)
 	}
-	// -drain-timeout is the documented name; -drain the historical one.
-	// Whichever was set explicitly wins (the newer name on a tie).
-	drainDur := *drainFor
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "drain-timeout" {
-			drainDur = *drainAlt
-		}
-	})
 	// Cluster flags follow the chaos-enable pattern: -cluster-* without
 	// -cluster is refused (a typoed launch must not half-configure a
 	// shard), and -cluster without the identity and shared token key is
@@ -360,7 +351,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 		ops = om
 	}
-	return serve(*addr, srv, *metrics, ops, out, ready, drainDur)
+	return serve(*addr, srv, *metrics, ops, out, ready, *drainFor)
 }
 
 // buildGraph loads the network file, or generates the requested family.

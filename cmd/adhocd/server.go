@@ -635,7 +635,7 @@ func writeDecodeErr(w http.ResponseWriter, err error) {
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		// 503 tells load balancers to stop routing here; in-flight work is
-		// still finishing (or minting resume tokens) under -drain-timeout.
+		// still finishing (or minting resume tokens) under -drain.
 		writeJSON(w, http.StatusServiceUnavailable, struct {
 			OK     bool   `json:"ok"`
 			Status string `json:"status"`

@@ -396,3 +396,30 @@ func TestDynamicStats(t *testing.T) {
 		t.Fatalf("dynamic_routes = %d, want 1", stats.DynamicRoutes)
 	}
 }
+
+// TestScheduleOutOfRange checks that a schedule spec whose parameters are
+// out of range is refused with 400 on both world-building endpoints. An
+// epoch makes add_rate insertion attempts while it holds its world, so an
+// accepted add_rate of 1e15 would leave the world's every advance and
+// route hanging.
+func TestScheduleOutOfRange(t *testing.T) {
+	ts := testServer(t)
+	var eb errorBody
+	if code := postJSON(t, ts, "/v1/worlds",
+		`{"name":"flood","schedule":{"kind":"churn","add_rate":1e15,"seed":1}}`, &eb); code != http.StatusBadRequest ||
+		!strings.Contains(eb.Error, "add_rate") {
+		t.Fatalf("world with add_rate 1e15: code %d (%+v), want 400", code, eb)
+	}
+	if code := getJSON(t, ts, "/v1/worlds/flood", nil); code != http.StatusNotFound {
+		t.Fatalf("refused world: GET code %d, want 404", code)
+	}
+	for _, sched := range []string{
+		`{"kind":"churn","add_rate":-1,"seed":1}`,
+		`{"kind":"churn","p_drop":1.5,"seed":1}`,
+		`{"kind":"markov","p_down":0.1,"p_up":2,"seed":1}`,
+	} {
+		if code := postJSON(t, ts, "/v1/dynamic", `{"src":0,"dst":15,"schedule":`+sched+`}`, nil); code != http.StatusBadRequest {
+			t.Fatalf("dynamic with %s: code %d, want 400", sched, code)
+		}
+	}
+}

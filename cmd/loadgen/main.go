@@ -560,12 +560,12 @@ type ScenarioReport struct {
 	Resumes       int64   `json:"resumes"`
 	WrongVerdicts int64   `json:"wrong_verdicts"`
 	RPS           float64 `json:"rps"`
-	MeanUS   float64 `json:"mean_us"`
-	P50US    float64 `json:"p50_us"`
-	P90US    float64 `json:"p90_us"`
-	P95US    float64 `json:"p95_us"`
-	P99US    float64 `json:"p99_us"`
-	MaxUS    float64 `json:"max_us"`
+	MeanUS        float64 `json:"mean_us"`
+	P50US         float64 `json:"p50_us"`
+	P90US         float64 `json:"p90_us"`
+	P95US         float64 `json:"p95_us"`
+	P99US         float64 `json:"p99_us"`
+	MaxUS         float64 `json:"max_us"`
 	// Slowest lists the k worst successful requests (-slowest), worst
 	// first, with the trace IDs the server knows them by — fetch the full
 	// walk timeline from adhocd's GET /v1/traces/{id}.

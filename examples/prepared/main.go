@@ -20,7 +20,7 @@ func run() error {
 	nw := adhocroute.NewUnitDisk2D(120, 0.18, 42)
 	fmt.Printf("network: %d nodes, %d links\n", nw.NumNodes(), nw.NumLinks())
 
-	// Compile performs the degree reduction and sequence-family setup
+	// Compile performs the degree reduction and builds its flat snapshot
 	// once; the Router is safe for any number of concurrent queries.
 	r, err := nw.Compile(adhocroute.WithSeed(2026), adhocroute.WithWorkers(4))
 	if err != nil {
@@ -48,7 +48,7 @@ func run() error {
 
 	// The engine metrics summarize the serving session.
 	s := r.Stats()
-	fmt.Printf("stats: %d queries, %d hops, %d rounds, seq cache %d hits / %d misses, peak header %d bits\n",
-		s.Queries, s.Hops, s.Rounds, s.SeqCacheHits, s.SeqCacheMisses, s.PeakHeaderBits)
+	fmt.Printf("stats: %d queries, %d hops, %d rounds, %d errors, peak header %d bits\n",
+		s.Queries, s.Hops, s.Rounds, s.Errors, s.PeakHeaderBits)
 	return nil
 }

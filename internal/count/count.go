@@ -145,7 +145,7 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 		if c.cfg.Mode == ModeLocal {
 			covered, err = c.localRound(s, bound, res)
 		} else {
-			seq := c.sequence(bound)
+			seq := c.r.Sequence(bound)
 			covered, err = c.closureCheck(start, seq, res)
 			if err == nil && covered {
 				err = c.countDistinct(start, seq, res)
@@ -178,19 +178,6 @@ func (c *Counter) localRound(s graph.NodeID, bound int, res *Result) (bool, erro
 		res.ReducedCount, res.OriginalCount = cov.Size(), len(cov.Originals())
 	}
 	return covered, err
-}
-
-// sequence returns T_bound in its compiled form (length frozen at
-// construction), keeping the Θ(log n) length recomputation out of the
-// message walks.
-func (c *Counter) sequence(bound int) ues.Sequence {
-	p := &ues.Pseudorandom{
-		Seed:         c.cfg.Seed,
-		N:            bound,
-		Base:         3,
-		LengthFactor: c.cfg.LengthFactor,
-	}
-	return p.Compiled()
 }
 
 // closureCheck is the paper's inner do-loop body: for every walk position i

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/degred"
@@ -471,6 +472,37 @@ func TestSpecBuild(t *testing.T) {
 		_, err := tc.spec.Build()
 		if (err == nil) != tc.ok {
 			t.Errorf("Build(%+v): err=%v, want ok=%v", tc.spec, err, tc.ok)
+		}
+	}
+}
+
+// TestSpecBuildRejectsOutOfRange checks that Build refuses every
+// probability outside [0, 1] and every add rate outside [0, 1024]: an
+// epoch makes add_rate insertion attempts, so an unchecked rate from a
+// client stalls its world indefinitely.
+func TestSpecBuildRejectsOutOfRange(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: "churn", PDrop: -0.1},
+		{Kind: "churn", PDrop: 1.5},
+		{Kind: "churn", AddRate: -1},
+		{Kind: "churn", AddRate: 1025},
+		{Kind: "churn", AddRate: 1e15},
+		{Kind: "markov", PDown: -0.5, PUp: 0.5},
+		{Kind: "markov", PDown: 1.01, PUp: 0.5},
+		{Kind: "markov", PDown: 0.1, PUp: -0.01},
+		{Kind: "markov", PDown: 0.1, PUp: 2},
+	} {
+		if _, err := spec.Build(); !errors.Is(err, ErrSpecRange) {
+			t.Errorf("Build(%+v): err=%v, want ErrSpecRange", spec, err)
+		}
+	}
+	for _, spec := range []Spec{
+		{Kind: "churn", PDrop: 1, AddRate: 1024},
+		{Kind: "churn", PDrop: 0, AddRate: 0},
+		{Kind: "markov", PDown: 1, PUp: 0},
+	} {
+		if _, err := spec.Build(); err != nil {
+			t.Errorf("Build(%+v): %v, want ok", spec, err)
 		}
 	}
 }

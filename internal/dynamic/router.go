@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/route"
 	"repro/internal/trace"
-	"repro/internal/ues"
 )
 
 // ErrRoundsExhausted reports that the router hit its round budget without
@@ -272,7 +271,7 @@ func (p *worldWalk) Snapshot() (*route.Router, uint64, error) {
 // slack absorbs resumption turbulence, and hitting the cap aborts the round
 // rather than erroring.
 func (p *worldWalk) roundHopCap(w *route.Walker) int64 {
-	return 4*int64(ues.Length(w.State().Bound, p.r.cfg.LengthFactor)) + 16
+	return 4*int64(w.SeqLen()) + 16
 }
 
 // Limit implements route.Provider: a segment ends at the next epoch

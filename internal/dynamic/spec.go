@@ -18,7 +18,8 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// PDrop is the per-edge removal probability (churn) per epoch.
 	PDrop float64 `json:"p_drop,omitempty"`
-	// AddRate is the expected fresh edges per epoch (churn).
+	// AddRate is the expected fresh edges per epoch (churn), at most
+	// 1024.
 	AddRate float64 `json:"add_rate,omitempty"`
 	// PDown and PUp are the Markov link transition probabilities.
 	PDown float64 `json:"p_down,omitempty"`
@@ -32,17 +33,36 @@ type Spec struct {
 	Gabriel bool `json:"gabriel,omitempty"`
 }
 
-// ErrUnknownKind reports an unrecognized schedule kind.
-var ErrUnknownKind = errors.New("dynamic: unknown schedule kind")
+// Errors reported by Build.
+var (
+	// ErrUnknownKind reports an unrecognized schedule kind.
+	ErrUnknownKind = errors.New("dynamic: unknown schedule kind")
+	// ErrSpecRange reports a probability outside [0, 1] or an add rate
+	// outside [0, 1024].
+	ErrSpecRange = errors.New("dynamic: schedule parameter out of range")
+)
 
-// Build instantiates the described schedule.
+// maxAddRate caps Spec.AddRate. An epoch makes AddRate insertion attempts
+// while it holds its world, so the cap bounds how long any spec a client
+// sends can stall a walk or an advance; every schedule in use adds at most
+// a few edges per epoch.
+const maxAddRate = 1024
+
+// Build instantiates the described schedule. It rejects parameters outside
+// their range with ErrSpecRange.
 func (s Spec) Build() (Schedule, error) {
 	switch s.Kind {
 	case "", "static":
 		return Static{}, nil
 	case "churn":
+		if err := errors.Join(inRange("p_drop", s.PDrop, 1), inRange("add_rate", s.AddRate, maxAddRate)); err != nil {
+			return nil, err
+		}
 		return &EdgeChurn{Seed: s.Seed, PDrop: s.PDrop, AddRate: s.AddRate}, nil
 	case "markov":
+		if err := errors.Join(inRange("p_down", s.PDown, 1), inRange("p_up", s.PUp, 1)); err != nil {
+			return nil, err
+		}
 		return &MarkovLinks{Seed: s.Seed, PDown: s.PDown, PUp: s.PUp}, nil
 	case "waypoint":
 		if s.Radius <= 0 {
@@ -57,4 +77,13 @@ func (s Spec) Build() (Schedule, error) {
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, s.Kind)
 	}
+}
+
+// inRange reports an ErrSpecRange error unless the field's value v lies in
+// [0, hi].
+func inRange(field string, v, hi float64) error {
+	if v >= 0 && v <= hi {
+		return nil
+	}
+	return fmt.Errorf("%w: %s %v outside [0, %v]", ErrSpecRange, field, v, hi)
 }

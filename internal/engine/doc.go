@@ -6,8 +6,10 @@
 // ad hoc routing with guaranteed delivery" (PODC 2008) behind one compile
 // step — the Figure 1 degree reduction (every node replaced by a cycle of
 // degree-3 gadgets), the port-labeled work graph G′ and its flat CSR
-// snapshot, and the exploration-sequence family T_n of §2 that Algorithm
-// Route (§3) and Algorithm CountNodes (§4) walk. Theorem 1's guarantees —
+// snapshot, and the router and counter that walk it with the
+// exploration-sequence family T_n of §2 — Algorithm Route (§3) and
+// Algorithm CountNodes (§4). T_n needs no compile step: each round derives
+// its T_bound from the seed in O(log n) time. Theorem 1's guarantees —
 // delivery iff reachable, O(log n) header, O(log n) node memory — hold
 // per query; the engine adds the serving-side observation that because
 // the protocol keeps no per-session state anywhere, the compiled network
@@ -19,10 +21,10 @@
 // RouteDynamic, and the batch entry points — is safe to call from any
 // number of goroutines with zero external coordination: construction
 // state is immutable, per-query state lives on the query's stack, and the
-// only shared mutable state is the lock-free sequence cache (append-only
-// sync.Map) and the metrics (atomic counters and fixed-bucket histograms;
-// see RegisterMetrics). RouteBatch/RouteAll bound their own worker pool
-// (Config.Workers) and honor context cancellation between members.
+// only shared mutable state is the metrics (atomic counters and
+// fixed-bucket histograms; see RegisterMetrics). RouteBatch/RouteAll bound
+// their own worker pool (Config.Workers) and honor context cancellation
+// between members.
 //
 // Routing entry points: Route and RouteBudgeted serve the compiled
 // network, RouteDynamic and RouteDynamicBudgeted an evolving world, and

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/count"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/route"
 	"repro/internal/trace"
-	"repro/internal/ues"
 )
 
 // ErrNoGraph is returned by Compile when given a nil graph.
@@ -55,28 +53,22 @@ type Config struct {
 // Engine is a routing engine compiled for one fixed network. All methods
 // are safe for concurrent use; construction state is immutable after
 // Compile and per-query state lives entirely on the query's stack (plus
-// the lock-free sequence cache and metrics).
+// the metrics).
 type Engine struct {
 	g       *graph.Graph
 	red     *degred.Reduced
 	router  *route.Router
 	counter *count.Counter
 	cfg     Config
-
-	// seqs caches the compiled T_bound family keyed by bound, so the
-	// doubling schedule's handful of distinct bounds is derived once and
-	// shared by every concurrent walker.
-	seqs sync.Map // int -> ues.Sequence
-	m    *metrics
+	m       *metrics
 
 	// compileTime is the wall time Compile spent building this engine —
 	// the amortized cost every query shares. Immutable after Compile.
 	compileTime time.Duration
 }
 
-// Compile builds the engine for g: one degree reduction, one router, one
-// counter, one (lazily filled) sequence-family cache. g must not be
-// mutated afterwards.
+// Compile builds the engine for g: one degree reduction, its flat
+// snapshot, one router and one counter. g must not be mutated afterwards.
 func Compile(g *graph.Graph, cfg Config) (*Engine, error) {
 	if g == nil {
 		return nil, ErrNoGraph
@@ -131,8 +123,7 @@ func CompileWithReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Engin
 	return e, nil
 }
 
-// routeConfig derives the router configuration, with sequence generation
-// routed through the engine's cache.
+// routeConfig derives the router configuration.
 func (e *Engine) routeConfig() route.Config {
 	return route.Config{
 		Seed:                e.cfg.Seed,
@@ -142,7 +133,6 @@ func (e *Engine) routeConfig() route.Config {
 		NoDegreeReduction:   e.cfg.NoDegreeReduction,
 		MemoryBudgetBits:    e.cfg.MemoryBudgetBits,
 		DisableCertificates: e.cfg.DisableCertificates,
-		SequenceFactory:     e.sequence,
 	}
 }
 
@@ -157,24 +147,6 @@ func (e *Engine) countConfig() count.Config {
 		Mode:         mode,
 		MaxBound:     e.cfg.MaxBound,
 	}
-}
-
-// sequence returns the cached compiled T_bound, deriving it on first use.
-// The cache is append-only and lock-free on the hit path; compiled
-// sequences are immutable and shared by all concurrent walkers.
-func (e *Engine) sequence(bound int) ues.Sequence {
-	if v, ok := e.seqs.Load(bound); ok {
-		e.m.seqHits.Add(1)
-		return v.(ues.Sequence)
-	}
-	e.m.seqMisses.Add(1)
-	base := 3
-	if e.cfg.NoDegreeReduction {
-		base = 0
-	}
-	p := &ues.Pseudorandom{Seed: e.cfg.Seed, N: bound, Base: base, LengthFactor: e.cfg.LengthFactor}
-	actual, _ := e.seqs.LoadOrStore(bound, p.Compiled())
-	return actual.(ues.Sequence)
 }
 
 // Graph returns the compiled network. Read-only.

@@ -50,9 +50,6 @@ type metrics struct {
 	hops   atomic.Int64
 	rounds atomic.Int64
 
-	seqHits   atomic.Int64
-	seqMisses atomic.Int64
-
 	peakHeaderBits atomic.Int64
 
 	// Latency distributions for the serving-relevant entry points, plus
@@ -130,8 +127,6 @@ func (e *Engine) RegisterMetrics(o *obs.Registry) error {
 		obs.NewCounterFunc("adhoc_engine_resumed_walks_total", "Queries that re-entered a prior walk from a resume cursor.", nil, ctr(&e.m.resumedWalks)),
 		obs.NewCounterFunc("adhoc_engine_hops_total", "Total message hops across all queries.", nil, ctr(&e.m.hops)),
 		obs.NewCounterFunc("adhoc_engine_rounds_total", "Total doubling rounds across all queries.", nil, ctr(&e.m.rounds)),
-		obs.NewCounterFunc("adhoc_engine_seq_cache_hits_total", "T_bound sequence-family cache hits.", nil, ctr(&e.m.seqHits)),
-		obs.NewCounterFunc("adhoc_engine_seq_cache_misses_total", "T_bound sequence-family cache misses (compiles).", nil, ctr(&e.m.seqMisses)),
 		obs.NewGaugeFunc("adhoc_engine_peak_header_bits", "Largest serialized header observed by any query (Theorem 1's O(log n)).", nil, ctr(&e.m.peakHeaderBits)),
 		obs.NewGaugeFunc("adhoc_engine_compile_seconds", "Wall time the one-off engine compile took (degree reduction + flat snapshot).", nil,
 			func() float64 { return e.compileTime.Seconds() }),
@@ -175,9 +170,6 @@ type Snapshot struct {
 	Hops int64 `json:"hops"`
 	// Rounds is the total doubling rounds across all queries.
 	Rounds int64 `json:"rounds"`
-	// SeqCacheHits/SeqCacheMisses instrument the T_bound family cache.
-	SeqCacheHits   int64 `json:"seq_cache_hits"`
-	SeqCacheMisses int64 `json:"seq_cache_misses"`
 	// PeakHeaderBits is the largest serialized message header observed by
 	// any query — the empirical O(log n) of Theorem 1.
 	PeakHeaderBits int64 `json:"peak_header_bits"`
@@ -199,8 +191,6 @@ func (e *Engine) Stats() Snapshot {
 		Errors:             e.m.errors.Load(),
 		Hops:               e.m.hops.Load(),
 		Rounds:             e.m.rounds.Load(),
-		SeqCacheHits:       e.m.seqHits.Load(),
-		SeqCacheMisses:     e.m.seqMisses.Load(),
 		PeakHeaderBits:     e.m.peakHeaderBits.Load(),
 		DynamicRoutes:      e.m.dynamicRoutes.Load(),
 		DynamicEpochs:      e.m.dynamicEpochs.Load(),

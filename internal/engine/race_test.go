@@ -13,8 +13,7 @@ import (
 // TestConcurrentQueries is the Theorem 1 "stateless nodes" claim at the
 // engine layer: one compiled engine serves many simultaneous sessions of
 // every query kind with zero coordination. Run under -race this doubles as
-// the data-race proof for the compiled state, the sequence cache, and the
-// metrics.
+// the data-race proof for the compiled state and the metrics.
 func TestConcurrentQueries(t *testing.T) {
 	g := gen.UDG2D(60, 0.2, 21).G
 	e := mustCompile(t, g, Config{Seed: 17, Workers: 4})
@@ -90,7 +89,7 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 // TestConcurrentBatches hammers RouteBatch itself from many goroutines so
-// the worker pool, result slices, and shared sequence cache race-test each
+// the worker pool, result slices, and shared metrics race-test each
 // other.
 func TestConcurrentBatches(t *testing.T) {
 	g := gen.Grid(6, 6)

@@ -15,7 +15,9 @@
 //     indexed by rowStart[node]+port (stride 3 on the 3-regular reduced
 //     graph);
 //   - the PRF symbol derivation (ues.Symbol over prng.Mix64) is inlined via
-//     the concrete Seq value — no interface call;
+//     the concrete Seq value — no interface call. Seq is the protocol's one
+//     representation of T_bound: package route derives it for every round,
+//     and its reference path reads the same value as a ues.Sequence;
 //   - all bounds are validated once at Compile, so the hop loop carries no
 //     per-hop error values;
 //   - the walkers optionally prefetch direction blocks so the sequence

@@ -196,15 +196,30 @@ func (f *Graph) Closed(visited []bool) bool {
 	return true
 }
 
-// Seq is a compiled exploration sequence: the i-th direction is
-// ues.Symbol(Seed, i, Base), with the length frozen at construction. Being
-// a small value type with concrete methods, the symbol derivation inlines
-// into the walk loops.
+// Seq is the protocol's exploration sequence T_bound: the i-th direction
+// is ues.Symbol(Seed, i, Base) for 1 ≤ i ≤ Length. The router derives it
+// from its configuration for every round and hands it to the walk loops
+// by value, where the symbol derivation inlines; the reference engine and
+// the local replays read the same value as a ues.Sequence.
 type Seq struct {
 	Seed   uint64
 	Base   int
 	Length int
 }
+
+var _ ues.Sequence = Seq{}
+
+// At returns the i-th direction. It panics outside [1, Length], which
+// indicates a protocol bug (walkers always bound i by Len).
+func (s Seq) At(i int) int {
+	if i < 1 || i > s.Length {
+		panic(fmt.Sprintf("flatgraph: At(%d) outside [1..%d]", i, s.Length))
+	}
+	return ues.Symbol(s.Seed, uint64(i), s.Base)
+}
+
+// Len returns the sequence length.
+func (s Seq) Len() int { return s.Length }
 
 // Fill writes directions from..from+len(buf)-1 into buf — the per-walk
 // block prefetch that amortizes the sequence oracle across hops.

@@ -146,10 +146,10 @@ func TestFaultInjectionFailsLoudly(t *testing.T) {
 	if dropAt < 1 {
 		dropAt = 1
 	}
-	seq := red.sequence(4)
+	seq := red.Sequence(4)
 	_ = seq
 	eng := netsim.NewEngine(red.WorkGraph(),
-		&routeHandler{seq: red.sequence(red.WorkGraph().NumNodes()), originalOf: red.original},
+		&routeHandler{seq: red.Sequence(red.WorkGraph().NumNodes()), originalOf: red.original},
 		netsim.WithFault(func(hop int64) bool { return hop == dropAt }))
 	start, errEntry := red.entry(0)
 	if errEntry != nil {

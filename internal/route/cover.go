@@ -28,7 +28,7 @@ type Cover struct {
 
 // Cover walks T_bound from s's entry gadget to the sequence's end: on the
 // flat snapshot when the router's rounds run flat, otherwise on the work
-// graph (DisableFlat, the no-reduction ablation, a non-PRF sequence, or a
+// graph (DisableFlat, the no-reduction ablation, a factory sequence, or a
 // configuration that needs the reference engine). ordered keeps the flat
 // walk's first-visit order, which Closed needs to count probes; the
 // reference walk always keeps it.
@@ -38,8 +38,7 @@ func (r *Router) Cover(s graph.NodeID, bound int, ordered bool) (*Cover, error) 
 		return nil, err
 	}
 	c := &Cover{r: r}
-	seq := r.sequence(bound)
-	if fs, ok := r.flatSeq(seq); ok {
+	if fs, ok := r.flatSeq(bound); ok {
 		si, ok := r.flat.Index(start)
 		if !ok {
 			return nil, fmt.Errorf("route: cover check: %w: %d", graph.ErrNodeNotFound, start)
@@ -53,7 +52,7 @@ func (r *Router) Cover(s graph.NodeID, bound int, ordered bool) (*Cover, error) 
 		}
 		return c, nil
 	}
-	work := r.WorkGraph()
+	seq, work := r.Sequence(bound), r.WorkGraph()
 	c.seen, c.ids = map[graph.NodeID]bool{start: true}, []graph.NodeID{start}
 	pos := ues.Start(start)
 	for i := 1; i <= seq.Len(); i++ {

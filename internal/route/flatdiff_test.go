@@ -178,7 +178,7 @@ func TestFlatStepperMatchesReferenceTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs, ok := fast.flatSeq(fast.sequence(bound))
+			fs, ok := fast.flatSeq(bound)
 			if !ok {
 				t.Fatal("flat path not eligible")
 			}

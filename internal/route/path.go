@@ -21,7 +21,7 @@ func (r *Router) PathOf(s graph.NodeID, bound int, forwardSteps int64) ([]graph.
 	if err != nil {
 		return nil, err
 	}
-	seq := r.sequence(bound)
+	seq := r.Sequence(bound)
 	if forwardSteps < 0 || forwardSteps > int64(seq.Len()) {
 		return nil, fmt.Errorf("route: forward steps %d outside [0, %d]", forwardSteps, seq.Len())
 	}

@@ -18,7 +18,7 @@ func TestEngineWalkMatchesPureWalk(t *testing.T) {
 	g := gen.Grid(4, 4)
 	r := newRouter(t, g, Config{Seed: 21})
 	gp := r.WorkGraph()
-	seq := r.sequence(gp.NumNodes())
+	seq := r.Sequence(gp.NumNodes())
 
 	// Pure walk.
 	start, err := r.entry(0)

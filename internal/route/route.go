@@ -108,10 +108,11 @@ type Config struct {
 	// as netsim.ErrMessageLost and never as a wrong verdict.
 	FaultHook func(hop int64) bool
 	// SequenceFactory overrides the exploration sequence family: given a
-	// size bound it must return T_bound. The default is the PRF-derived
-	// ues.Pseudorandom; override to plug certified explicit sequences
-	// (ues.CertifiedSmall) or any future construction. The factory must be
-	// deterministic — all nodes consult the same T_n.
+	// size bound it must return T_bound. The default is the PRF family
+	// flatgraph.Seq over Seed; override to plug certified explicit
+	// sequences (ues.CertifiedSmall) or any future construction. A
+	// factory's sequences always run on the reference path. The factory
+	// must be deterministic — all nodes consult the same T_n.
 	SequenceFactory func(bound int) ues.Sequence
 	// WireFormat round-trips the header through its serialized form on
 	// every hop (netsim.WithWireFormat), as a real link would.
@@ -138,7 +139,7 @@ type Config struct {
 // token engine. They are hop-for-hop identical (pinned by differential
 // tests); the reference runs whenever a configuration needs its
 // instrumentation — tracing, fault injection, wire-format round-trips,
-// custom memory budgets, restart confirmation, non-PRF sequences, or the
+// custom memory budgets, restart confirmation, factory sequences, or the
 // no-reduction ablation.
 type Router struct {
 	orig *graph.Graph
@@ -321,24 +322,29 @@ func (r *Router) maxBound() int {
 	return 4 * r.WorkGraph().NumNodes()
 }
 
-// sequence returns T_bound for this protocol instance, in the compiled
-// form (length frozen at construction) so the per-hop bounds check costs no
-// recomputation.
-func (r *Router) sequence(bound int) ues.Sequence {
+// prf returns T_bound of the protocol's PRF family: the directions
+// ues.Symbol(Seed, i, Base) over ues.Length(bound, LengthFactor) indices,
+// base 3 on the reduced graph and full-range under the no-reduction
+// ablation. It reports false when Config.SequenceFactory supplies T_bound
+// instead.
+func (r *Router) prf(bound int) (flatgraph.Seq, bool) {
 	if r.cfg.SequenceFactory != nil {
-		return r.cfg.SequenceFactory(bound)
+		return flatgraph.Seq{}, false
 	}
 	base := 3
 	if r.cfg.NoDegreeReduction {
 		base = 0 // full-range directions, reduced mod deg(v) by the walk rule
 	}
-	p := &ues.Pseudorandom{
-		Seed:         r.cfg.Seed,
-		N:            bound,
-		Base:         base,
-		LengthFactor: r.cfg.LengthFactor,
+	return flatgraph.Seq{Seed: r.cfg.Seed, Base: base, Length: ues.Length(bound, r.cfg.LengthFactor)}, true
+}
+
+// Sequence returns T_bound for this protocol instance: the PRF family, or
+// the factory's sequence when Config.SequenceFactory is set.
+func (r *Router) Sequence(bound int) ues.Sequence {
+	if fs, ok := r.prf(bound); ok {
+		return fs
 	}
-	return p.Compiled()
+	return r.cfg.SequenceFactory(bound)
 }
 
 // flatPath reports whether this configuration lets rounds run on the
@@ -350,27 +356,13 @@ func (r *Router) flatPath() bool {
 		r.cfg.Trace == nil && r.cfg.FaultHook == nil && !r.cfg.WireFormat && r.cfg.MemoryBudgetBits == 0
 }
 
-// flatSeq decides whether a round over seq may run on the compiled flat
-// walker, and derives its inlined sequence form if so.
-func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
+// flatSeq returns T_bound when rounds at bound run on the compiled flat
+// walker: the PRF family on a configuration that takes the flat path.
+func (r *Router) flatSeq(bound int) (flatgraph.Seq, bool) {
 	if !r.flatPath() {
 		return flatgraph.Seq{}, false
 	}
-	return prfSeq(seq)
-}
-
-// prfSeq derives the inlined form of a PRF-backed base-3 sequence; other
-// sequences have none.
-func prfSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
-	prf, ok := seq.(ues.PRFBacked)
-	if !ok {
-		return flatgraph.Seq{}, false
-	}
-	seed, base := prf.PRFParams()
-	if base != 3 {
-		return flatgraph.Seq{}, false
-	}
-	return flatgraph.Seq{Seed: seed, Base: 3, Length: seq.Len()}, true
+	return r.prf(bound)
 }
 
 func (r *Router) engineOptions() []netsim.Option {

@@ -297,6 +297,9 @@ func (w *Walker) RoundHops() int64 {
 	return w.cur.RoundHops + w.flat.Hops()
 }
 
+// SeqLen returns the length of the live round's sequence, L_bound.
+func (w *Walker) SeqLen() int { return w.seqLen }
+
 // Span returns the live round's span (nil when unsampled).
 func (w *Walker) Span() *trace.Span { return w.rsp }
 
@@ -325,7 +328,7 @@ func (w *Walker) header() (index int64, backward, success bool) {
 // walk will ride.
 func (w *Walker) NextLink(n int) (u, v graph.NodeID, ok bool) {
 	f := w.r.flat
-	fs, ok := prfSeq(w.r.sequence(w.cur.Bound))
+	fs, ok := w.r.prf(w.cur.Bound)
 	if f == nil || !ok {
 		return 0, 0, false
 	}
@@ -509,7 +512,7 @@ func (w *Walker) resume(c *Cursor) error {
 	} else if c.Version != 0 {
 		return fmt.Errorf("%w: dynamic-world cursor (version %d) on a static router", ErrBadCursor, c.Version)
 	}
-	fs, ok := w.r.flatSeq(w.r.sequence(c.Bound))
+	fs, ok := w.r.flatSeq(c.Bound)
 	if !ok {
 		return ErrBudgetUnsupported
 	}
@@ -558,9 +561,7 @@ func (w *Walker) enterAt(at graph.NodeID, index int64, backward, success bool) e
 // current snapshot, carrying the given header state, on the flat stepper
 // when the configuration allows it and the reference engine otherwise.
 func (w *Walker) enter(node graph.NodeID, inPort int, index int64, backward, success bool) error {
-	seq := w.r.sequence(w.cur.Bound)
-	w.seqLen = seq.Len()
-	if fs, ok := w.r.flatSeq(seq); ok {
+	if fs, ok := w.r.flatSeq(w.cur.Bound); ok {
 		dense, ok := w.r.flat.Index(node)
 		if !ok {
 			return fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, node)
@@ -570,6 +571,8 @@ func (w *Walker) enter(node graph.NodeID, inPort int, index int64, backward, suc
 	if w.bounded {
 		return ErrBudgetUnsupported
 	}
+	seq := w.r.Sequence(w.cur.Bound)
+	w.seqLen = seq.Len()
 	h := netsim.Header{Src: w.cur.Src, Dst: w.cur.Dst, Dir: netsim.Forward, Status: netsim.StatusNone, Index: index}
 	if backward {
 		h.Dir, h.Status = netsim.Backward, netsim.StatusFailure

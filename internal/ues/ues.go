@@ -16,8 +16,10 @@
 // computable statelessly in O(1) words (= O(log n) bits) — the exact
 // property §2 requires of T_n — with polynomial length and empirically
 // verified universality over corpora of labeled cubic multigraphs (see
-// Verify and corpus.go). The derandomization machinery behind Reingold's
-// theorem lives in the sibling package zigzag.
+// Verify and corpus.go). The router walks the same family as a value,
+// flatgraph.Seq, whose i-th symbol is this package's Symbol. The
+// derandomization machinery behind Reingold's theorem lives in the sibling
+// package zigzag.
 package ues
 
 import (
@@ -238,9 +240,9 @@ func (p *Pseudorandom) At(i int) int {
 	return Symbol(p.Seed, uint64(i), p.Base)
 }
 
-// Symbol is the single shared PRF-to-direction derivation; every sequence
-// flavour (and the compiled flat walker) must agree on it, since all nodes
-// of a deployment consult the same T_n.
+// Symbol is the single shared PRF-to-direction derivation: Pseudorandom
+// here and the protocol's T_bound (flatgraph.Seq) both read it, since all
+// nodes of a deployment consult the same T_n.
 func Symbol(seed, i uint64, base int) int {
 	v := prng.At(seed, i)
 	if base == 3 {
@@ -266,59 +268,7 @@ func (p *Pseudorandom) Len() int {
 	return l
 }
 
-// PRFParams implements PRFBacked.
-func (p *Pseudorandom) PRFParams() (seed uint64, base int) { return p.Seed, p.Base }
-
 var _ Sequence = (*Pseudorandom)(nil)
-
-// PRFBacked is implemented by sequences whose i-th symbol is exactly
-// Symbol(seed, i, base). Exposing the derivation parameters lets compiled
-// walkers (package flatgraph) inline the symbol computation into their hop
-// loop instead of paying an interface call per hop; sequences that are not
-// PRF-backed (explicit certified sequences, test doubles) simply do not
-// implement it and keep the generic path.
-type PRFBacked interface {
-	Sequence
-	// PRFParams returns the Symbol derivation parameters.
-	PRFParams() (seed uint64, base int)
-}
-
-var (
-	_ PRFBacked = (*Pseudorandom)(nil)
-	_ PRFBacked = (*compiled)(nil)
-)
-
-// Compiled returns a sequence identical to p with the length computed once
-// at construction instead of on every At/Len call. A walk makes one At call
-// per hop, and the naive Len recomputation costs Θ(log n) per call — the
-// compiled form removes that from the hot loop, and being immutable it is
-// safe to share across any number of concurrent walkers.
-func (p *Pseudorandom) Compiled() Sequence {
-	return &compiled{seed: p.Seed, base: p.Base, length: p.Len()}
-}
-
-// compiled is the frozen form of a Pseudorandom sequence.
-type compiled struct {
-	seed   uint64
-	base   int
-	length int
-}
-
-// At returns the i-th direction.
-func (c *compiled) At(i int) int {
-	if i < 1 || i > c.length {
-		panic(fmt.Sprintf("ues: At(%d) outside [1..%d]", i, c.length))
-	}
-	return Symbol(c.seed, uint64(i), c.base)
-}
-
-// Len returns the precomputed sequence length.
-func (c *compiled) Len() int { return c.length }
-
-// PRFParams implements PRFBacked.
-func (c *compiled) PRFParams() (seed uint64, base int) { return c.seed, c.base }
-
-var _ Sequence = (*compiled)(nil)
 
 // Precomputed is an explicit in-memory exploration sequence, used for tiny
 // verified sequences and in tests.

@@ -167,10 +167,6 @@ type RouterStats struct {
 	// Hops and Rounds are totals across all queries.
 	Hops   int64
 	Rounds int64
-	// SeqCacheHits/SeqCacheMisses instrument the exploration sequence
-	// family cache.
-	SeqCacheHits   int64
-	SeqCacheMisses int64
 	// PeakHeaderBits is the largest message header any query observed.
 	PeakHeaderBits int64
 }
@@ -188,8 +184,6 @@ func (r *Router) Stats() RouterStats {
 		Errors:         s.Errors,
 		Hops:           s.Hops,
 		Rounds:         s.Rounds,
-		SeqCacheHits:   s.SeqCacheHits,
-		SeqCacheMisses: s.SeqCacheMisses,
 		PeakHeaderBits: s.PeakHeaderBits,
 	}
 }
