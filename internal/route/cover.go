@@ -14,7 +14,8 @@ import (
 // is §4's: a visited set closed under neighbourhood is the source's whole
 // component, which makes a failed round's verdict definitive, ends a
 // broadcast, and makes CountNodes exact. The walk driver runs the check
-// after every failed round; package count runs its ModeLocal rounds on it.
+// after a failed round unless the component index already decides it;
+// package count runs its ModeLocal rounds on it.
 type Cover struct {
 	r *Router
 	// The flat path: dense flags over the snapshot, and the dense

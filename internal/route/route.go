@@ -22,7 +22,8 @@
 // (flatgraph.RouteStepper.Run) or the netsim reference stepper, and after
 // a failed round the §4 closure check: a Cover (the one local cover walk,
 // which package count's ModeLocal rounds also run) on the snapshot current
-// at that moment. Route runs it with no limit, RouteBudgeted restores and
+// at that moment, unless the component index puts s and t in one
+// component, which already answers "not covered". Route runs it with no limit, RouteBudgeted restores and
 // mints cursors, Walker.Step advances one activation, Broadcast walks
 // toward a name no node carries, and package dynamic plugs an evolving
 // topology in as a Provider consulted at round starts, segment ends and
@@ -159,7 +160,9 @@ type RoundStat struct {
 	// Outcome is the round's terminal status.
 	Outcome netsim.Status
 	// Covered reports whether the round's walk covered the source
-	// component (checked only after failed rounds).
+	// component (checked only after failed rounds). After a failed static
+	// round whose s and t the component index puts in one component it is
+	// false without a closure walk: a covering walk would have met t.
 	Covered bool
 }
 
@@ -262,26 +265,47 @@ func (r *Router) Certificate(s, t graph.NodeID) *Certificate {
 	if comps.Count() == 1 {
 		return nil
 	}
-	se, ok := r.red.Entry(s)
-	if !ok {
-		return nil
-	}
-	si, ok := r.flat.Index(se)
+	si, ok := r.entryIndex(s)
 	if !ok {
 		return nil
 	}
 	cert := &Certificate{SrcComponent: comps.Of(si), DstComponent: -1, Components: comps.Count()}
 	// A t with no gadget is not a node of the graph at all: unreachable by
 	// definition.
-	if te, ok := r.red.Entry(t); ok {
-		if ti, ok := r.flat.Index(te); ok {
-			cert.DstComponent = comps.Of(ti)
-		}
+	if ti, ok := r.entryIndex(t); ok {
+		cert.DstComponent = comps.Of(ti)
 	}
 	if cert.DstComponent == cert.SrcComponent {
 		return nil
 	}
 	return cert
+}
+
+// sameComponent reports whether the component index certificates trust
+// puts the entry gadgets of s and t in one component. A failed round's §4
+// closure check cannot pass then: the closed cover would be that whole
+// component, t's gadgets included, and the round has just failed to meet
+// t. False when certificates are disabled or t has no gadget.
+func (r *Router) sameComponent(s, t graph.NodeID) bool {
+	if r.cfg.DisableCertificates || r.flat == nil {
+		return false
+	}
+	si, ok := r.entryIndex(s)
+	if !ok {
+		return false
+	}
+	ti, ok := r.entryIndex(t)
+	return ok && r.flat.Components().Same(si, ti)
+}
+
+// entryIndex returns the dense index of original node v's entry gadget on
+// the flat snapshot.
+func (r *Router) entryIndex(v graph.NodeID) (int32, bool) {
+	e, ok := r.red.Entry(v)
+	if !ok {
+		return 0, false
+	}
+	return r.flat.Index(e)
 }
 
 // entry maps an original node to its walk entry point.

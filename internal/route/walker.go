@@ -729,14 +729,18 @@ func (w *Walker) endRound() {
 			w.res.Status, w.done = status, true
 			return
 		}
-		closed, err := w.closed()
+		closed, walked, err := w.closed()
 		if err != nil {
 			w.fail(err)
 			return
 		}
 		w.res.Rounds[len(w.res.Rounds)-1].Covered = closed
 		if w.sp.Recording() {
-			w.sp.Event(w.ns+".cover_check", trace.Int("bound", int64(w.cur.Bound)), trace.Bool("covered", closed))
+			attrs := []trace.Attr{trace.Int("bound", int64(w.cur.Bound)), trace.Bool("covered", closed)}
+			if !walked {
+				attrs = append(attrs, trace.Bool("walked", false))
+			}
+			w.sp.Event(w.ns+".cover_check", attrs...)
 		}
 		if closed {
 			w.res.Status, w.done = status, true
@@ -752,22 +756,24 @@ func (w *Walker) endRound() {
 // bound, on the topology current now, and keeps its cover. The failure is
 // definitive only if the closed cover — the source's whole component —
 // does not hold t: an evolving topology may have joined the two since the
-// round walked.
-func (w *Walker) closed() (bool, error) {
+// round walked. On a static router whose component index puts s and t in
+// one component the answer is "not closed" without a walk (walked false).
+func (w *Walker) closed() (closed, walked bool, err error) {
 	r := w.r
 	if w.prov != nil {
-		var err error
 		if r, _, err = w.prov.Snapshot(); err != nil {
-			return false, err
+			return false, false, err
 		}
+	} else if r.sameComponent(w.cur.Src, w.cur.Dst) {
+		return false, false, nil
 	}
 	c, err := r.Cover(w.cur.Src, w.cur.Bound, false)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	w.cover = c
-	closed, _, err := c.Closed()
-	return closed && !c.holds(w.cur.Dst), err
+	closed, _, err = c.Closed()
+	return closed && !c.holds(w.cur.Dst), true, err
 }
 
 // nextRound follows a round that reached no verdict with a fresh one,
