@@ -235,12 +235,15 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 
 // BenchmarkTracedLongRoute is the tracing perf guard on long walks: route_long's
 // network (gen.UDG2D(1024, 0.06, 1) at protocol seed 7, one node isolated)
-// over 64 fixed pairs, about 42k hops per query. untraced routes through
-// Engine.RouteBudgeted with a background context; traced opens a fresh
-// trace per query as adhocd does at its defaults (sample rate 1, 100ms
-// retention), so its round spans pay for their hop tails. CI fails when
-// traced exceeds 1.5x untraced; run it at -benchtime 64x, one pass over
-// the pairs.
+// over 64 fixed pairs, about 42k reported hops per query but fewer
+// simulated: each round after the first starts where the last one turned
+// around (a sampled one up to two hop rings earlier), and no closure
+// check walks (route's TestWalkerSkipsKnownSteps counts the steps).
+// untraced routes through Engine.RouteBudgeted with a background context;
+// traced opens a fresh trace per query as adhocd does at its defaults
+// (sample rate 1, 100ms retention), so its round spans pay for their hop
+// tails. CI fails when traced exceeds 1.5x untraced; run it at -benchtime
+// 64x, one pass over the pairs.
 func BenchmarkTracedLongRoute(b *testing.B) {
 	const n = 1024
 	e, err := Compile(gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})

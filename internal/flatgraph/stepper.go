@@ -16,7 +16,10 @@ import (
 // advances it by one handler activation, matching netsim.Stepper's
 // granularity exactly (each activation performs one hop unless it is
 // terminal), so step-interleaved compositions charge identical step counts
-// on either execution path.
+// on either execution path. A forward walk that runs out of sequence
+// records where it turned around (Turn): a later round whose sequence
+// extends this one retraces the walk up to there, so package route starts
+// it there instead of at the source.
 type RouteStepper struct {
 	f        *Graph
 	seq      Seq
@@ -27,8 +30,11 @@ type RouteStepper struct {
 	backward bool
 	success  bool
 	done     bool
-	hops     int64
-	err      error
+	// turn is the half-edge slot (node*3+inPort) where the forward walk
+	// ran out of sequence, plus 1; 0 when it has not.
+	turn int32
+	hops int64
+	err  error
 
 	// The metering replica of the reference engine: the per-activation
 	// memory peak, the largest header index of a forward activation, and
@@ -132,6 +138,9 @@ func (st *RouteStepper) Run(limit int64) bool {
 				}
 				st.maxIndex = max(st.maxIndex, i)
 				st.backward, st.success = true, found
+				if !found {
+					st.turn = node*3 + inPort + 1
+				}
 				i--
 				h := f.halves[node*3+inPort]
 				node, inPort = h.To, h.Port
@@ -241,3 +250,14 @@ func (st *RouteStepper) Index() int64 { return st.index }
 
 // Backward reports whether the walk has turned around.
 func (st *RouteStepper) Backward() bool { return st.backward }
+
+// Turn reports the position (dense node, arrival port) at which the forward
+// walk ran out of sequence — where the message stood, carrying index
+// Length+1, when it turned around with a failure. ok is false when the
+// walk this stepper ran found the destination or has not turned around.
+func (st *RouteStepper) Turn() (node, inPort int32, ok bool) {
+	if st.turn == 0 {
+		return 0, 0, false
+	}
+	return (st.turn - 1) / 3, (st.turn - 1) % 3, true
+}

@@ -141,3 +141,56 @@ func TestHopEvidenceGolden(t *testing.T) {
 		t.Fatalf("hop evidence digest %s, want %s", got, hopEvidenceDigest)
 	}
 }
+
+// jumpEvidenceDigest is the SHA-256 of the evidence TestHopEvidenceJumpGolden
+// hashes, recorded on a walker that starts every round at the source.
+const jumpEvidenceDigest = "22a79fb531305b197fabdbf7a6ce3dcb8c0edc705521a410ec3ee8564193a9bb"
+
+// TestHopEvidenceJumpGolden pins the hop evidence of walks whose later
+// rounds start where the last one turned around: long static walks at
+// protocol seed 7, with and without certificates, unbounded and in
+// budgeted, resumed segments, on a multi-component unit-disk graph and on
+// route_long's network, at hop rings 1, 7, 256 and 1000. A sampled round
+// that starts less than a ring before the turnaround, or that its budget
+// stops before it walked a ring, keeps a short hop tail and changes it.
+func TestHopEvidenceJumpGolden(t *testing.T) {
+	type pair struct{ s, t graph.NodeID }
+	graphs := []struct {
+		name    string
+		g       *graph.Graph
+		pairs   []pair
+		budgets []int64
+	}{
+		{"udg300", gen.UDG2D(300, 0.07, 3).G, []pair{{0, 247}, {0, 1}, {17, 140}}, []int64{0, 37, 256, 1000}},
+		{"route_long", gen.UDG2D(1024, 0.06, 1).G, []pair{{0, 1000}, {517, 3}}, []int64{0, 1000}},
+	}
+	ev := &hopEvidence{h: sha256.New()}
+	for _, gc := range graphs {
+		for _, nocert := range []bool{false, true} {
+			r, err := route.New(gc.g, route.Config{Seed: 7, DisableCertificates: nocert})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ring := range []int{1, 7, 256, 1000} {
+				tc := trace.New(trace.Config{SampleRate: 1, HopRing: ring})
+				for _, p := range gc.pairs {
+					for _, budget := range gc.budgets {
+						label := fmt.Sprintf("%s nocert %t ring %d %d->%d budget %d", gc.name, nocert, ring, p.s, p.t, budget)
+						ev.walk(t, tc, label, func(ctx context.Context, cur *route.Cursor) (*route.Cursor, error) {
+							res, err := r.RouteBudgeted(ctx, p.s, p.t, budget, cur)
+							if err != nil {
+								return nil, err
+							}
+							return res.Cursor, nil
+						})
+					}
+				}
+			}
+		}
+	}
+	got := hex.EncodeToString(ev.h.Sum(nil))
+	t.Logf("%d walks in %d segments: %d spans, %d retained hops", ev.walks, ev.parts, ev.spans, ev.hops)
+	if got != jumpEvidenceDigest {
+		t.Fatalf("hop evidence digest %s, want %s", got, jumpEvidenceDigest)
+	}
+}

@@ -23,12 +23,15 @@
 // a failed round the §4 closure check: a Cover (the one local cover walk,
 // which package count's ModeLocal rounds also run) on the snapshot current
 // at that moment, unless the component index puts s and t in one
-// component, which already answers "not covered". Route runs it with no limit, RouteBudgeted restores and
-// mints cursors, Walker.Step advances one activation, Broadcast walks
-// toward a name no node carries, and package dynamic plugs an evolving
-// topology in as a Provider consulted at round starts, segment ends and
-// closure checks. The request span travels in the context (trace.FromContext): a
-// sampled span records one child span per round with the walk's hop tail.
+// component, which already answers "not covered". A static round after
+// the first starts where the last one's walk turned around, the way there
+// being known. Route runs the driver with no limit, RouteBudgeted
+// restores and mints cursors, Walker.Step advances one activation,
+// Broadcast walks toward a name no node carries, and package dynamic
+// plugs an evolving topology in as a Provider consulted at round starts,
+// segment ends and closure checks. The request span travels in the
+// context (trace.FromContext): a sampled span records one child span per
+// round with the walk's hop tail.
 package route
 
 import (

@@ -44,7 +44,10 @@ type Provider interface {
 // instrumentation. It runs the bound schedule, each round in hop segments,
 // the §4 closure check after a failed round, and stops on a verdict, on the
 // hop budget, or on the context, checked at round starts (and, on an
-// evolving topology, at epoch boundaries) but never per hop.
+// evolving topology, at epoch boundaries) but never per hop. It simulates
+// no step whose outcome is known: a static round starts where the last
+// one turned around (retrace), and the component index answers the
+// closure checks it decides, so a round's hops count more than it walks.
 type Walker struct {
 	r    *Router
 	prov Provider
@@ -55,8 +58,13 @@ type Walker struct {
 	flat   flatgraph.RouteStepper
 	ref    *netsim.Stepper // the live round, when it runs on the reference engine
 	seqLen int
+	// jump is where run may move the fresh live round from the source's
+	// entry (retrace; index 0: nowhere). Step never moves it: the hybrid
+	// race counts every activation.
+	jump walkPos
 
 	bounded bool   // a budget, deadline, or cursor is in play: rounds must run flat
+	resumed bool   // the walk began at a cursor, past steps an earlier call metered
 	cover   *Cover // the last closure check's walk, for Broadcast
 	sp, rsp *trace.Span
 	log     *hopLog // the sampled round's replay log (nil until a sampled walk enters the flat path)
@@ -70,11 +78,22 @@ type Walker struct {
 // hop ring, keeps a copy of the stepper as each piece began, and when the
 // round's span ends re-walks the last ring of hops from those copies into
 // the span (replay). A copy carries its own immutable snapshot, so a round
-// that crossed recompiles replays each piece where it was walked.
+// that crossed recompiles replays each piece where it was walked. A round
+// that started where the last one's walk already went counts the hops it
+// skipped in total, and the log keeps where the last two forward pieces
+// began, a ring apart, for the next round to start from.
 type hopLog struct {
 	ring   int64      // the span's hop ring capacity
 	pieces []hopPiece // oldest first; the last is the live piece
-	total  int64      // flat hops the round's span has walked
+	total  int64      // flat hops the round's span has counted
+	fwd    [2]walkPos // the last two pieces run started in a forward phase, oldest first
+}
+
+// walkPos is a forward position of a flat round: the dense node, the
+// arrival port, and the header index the message carries there.
+type walkPos struct {
+	node, inPort int32
+	index        int64
 }
 
 // hopPiece is the stepper as a piece of the round began, and the hops the
@@ -107,6 +126,10 @@ func (l *hopLog) add(st *flatgraph.RouteStepper) {
 func (l *hopLog) run(st *flatgraph.RouteStepper, limit int64) bool {
 	for {
 		if l.pieces[len(l.pieces)-1].hops >= l.ring {
+			if !st.Backward() {
+				node, inPort := st.Position()
+				l.fwd = [2]walkPos{l.fwd[1], {node, inPort, st.Index()}}
+			}
 			l.add(st)
 		}
 		p := &l.pieces[len(l.pieces)-1]
@@ -158,8 +181,13 @@ func (l *hopLog) replay(sp *trace.Span, s, t graph.NodeID) {
 		p.st.Run(p.hops - skip)
 		skip = 0
 	}
+	l.restart(0)
+}
+
+// restart empties the log for a round whose span has counted total hops.
+func (l *hopLog) restart(total int64) {
 	clear(l.pieces)
-	l.pieces, l.total = l.pieces[:0], 0
+	l.pieces, l.total = l.pieces[:0], total
 }
 
 // nextBound is the §3 doubling schedule, the only place it is computed: the
@@ -384,6 +412,7 @@ func (w *Walker) Reenter(r *Router, version uint64) error {
 // and drives it within the limits.
 func (w *Walker) walk(ctx context.Context, maxHops int64, cur *Cursor) (*Result, error) {
 	w.bounded = maxHops > 0 || cur != nil || ctx.Done() != nil
+	w.resumed = cur != nil
 	var err error
 	if cur != nil {
 		err = w.resume(cur)
@@ -410,9 +439,12 @@ func (w *Walker) walk(ctx context.Context, maxHops int64, cur *Cursor) (*Result,
 func (w *Walker) run(ctx context.Context, limit int64) {
 	roundStart := true
 	for !w.done {
-		if roundStart && ctx.Err() != nil {
-			w.exhaust(ExhaustDeadline)
-			return
+		if roundStart {
+			if ctx.Err() != nil {
+				w.exhaust(ExhaustDeadline)
+				return
+			}
+			limit = w.jumpAhead(limit)
 		}
 		seg := limit
 		if w.prov != nil {
@@ -475,22 +507,93 @@ func (w *Walker) segment(limit int64) (hops int64, ended bool) {
 }
 
 // startRound begins a fresh round at the next bound of the schedule, from
-// the source's entry on the current snapshot.
+// the source's entry on the current snapshot, and notes where run may
+// move it further along (retrace) before the stepper forgets the last
+// round's turnaround.
 func (w *Walker) startRound() error {
 	if w.prov != nil {
 		if err := w.snapshot(); err != nil {
 			return err
 		}
 	}
+	prev := w.cur.Bound
 	w.cur.Bound = nextBound(w.cur.Bound, w.r.cfg.GrowthFactor, w.r.maxBound(), w.r.cfg.KnownN)
 	w.cur.Rounds++
 	w.cur.RoundHops, w.cur.MaxIndex = 0, 1
+	w.jump = w.retrace(prev)
 	w.openRound()
 	start, err := w.r.entry(w.cur.Src)
 	if err != nil {
 		return err
 	}
 	return w.enter(start, 0, 1, false, false)
+}
+
+// retrace returns where a fresh static round at w.cur.Bound may start
+// instead of the source's entry, or the zero walkPos. The walk is
+// oblivious, and the sequence the last round ran out of on the flat
+// stepper is a prefix of the new one, so the new round would retrace that
+// round's walk hop for hop up to its turnaround, without meeting t; the
+// last round already metered every activation on the way. A sampled round
+// starts instead at the latest forward piece start its log kept at least
+// a ring before the turnaround, so that it walks the hop tail its span
+// keeps. A walk that began at a cursor never skips: an earlier call
+// metered part of the way.
+func (w *Walker) retrace(prevBound int) walkPos {
+	node, inPort, ok := w.flat.Turn()
+	if !ok || w.prov != nil || w.resumed {
+		return walkPos{}
+	}
+	prev, _ := w.r.flatSeq(prevBound)
+	next, ok := w.r.flatSeq(w.cur.Bound)
+	if !ok || next.Seed != prev.Seed || next.Base != prev.Base || next.Length <= prev.Length {
+		return walkPos{}
+	}
+	turn := walkPos{node, inPort, int64(prev.Length) + 1}
+	if w.log == nil {
+		return turn
+	}
+	var at walkPos
+	for _, p := range w.log.fwd {
+		if turn.index-p.index >= w.log.ring {
+			at = p
+		}
+	}
+	return at
+}
+
+// jumpAhead moves the fresh live round to w.jump when limit (< 0: none)
+// covers the hops that skips — plus, in a sampled round, a ring, so that
+// the round walks the hop tail its span keeps — and returns what is left
+// of limit. The skipped hops count as the round's own. A static round's
+// span records them as skipped_hops.
+func (w *Walker) jumpAhead(limit int64) int64 {
+	at := w.jump
+	w.jump = walkPos{}
+	var skip, ring int64
+	if w.log != nil {
+		ring = w.log.ring
+	}
+	if at.index > 1 && (limit < 0 || limit >= at.index-1+ring) {
+		fs, _ := w.r.flatSeq(w.cur.Bound)
+		// The stepper produced at on this snapshot, so Reset cannot refuse
+		// it; if it did, the round would walk from the entry as it stands.
+		if w.flat.Reset(w.r.flat, at.node, at.inPort, w.cur.Src, w.cur.Dst, fs, at.index, false, false) == nil {
+			skip = at.index - 1
+			w.cur.RoundHops = skip
+			if limit > 0 {
+				limit -= skip
+			}
+			if w.log != nil {
+				w.log.restart(skip)
+				w.log.add(&w.flat)
+			}
+		}
+	}
+	if w.prov == nil && w.rsp.Recording() {
+		w.rsp.SetAttr(trace.Int("skipped_hops", skip))
+	}
+	return limit
 }
 
 // resume re-enters the round a cursor interrupted: exactly at its dense
@@ -736,11 +839,12 @@ func (w *Walker) endRound() {
 		}
 		w.res.Rounds[len(w.res.Rounds)-1].Covered = closed
 		if w.sp.Recording() {
-			attrs := []trace.Attr{trace.Int("bound", int64(w.cur.Bound)), trace.Bool("covered", closed)}
-			if !walked {
-				attrs = append(attrs, trace.Bool("walked", false))
+			bound, covered := trace.Int("bound", int64(w.cur.Bound)), trace.Bool("covered", closed)
+			if walked {
+				w.sp.Event(w.ns+".cover_check", bound, covered)
+			} else {
+				w.sp.Event(w.ns+".cover_check", bound, covered, trace.Bool("walked", false))
 			}
-			w.sp.Event(w.ns+".cover_check", attrs...)
 		}
 		if closed {
 			w.res.Status, w.done = status, true

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/prng"
 	"repro/internal/trace"
 )
 
@@ -208,4 +209,76 @@ func TestReplayLogBound(t *testing.T) {
 			t.Fatalf("ring %d h %d: spans counted %d hops, the walk made %d", c.ring, c.h, hops, res.Hops)
 		}
 	}
+}
+
+// TestWalkerSkipsKnownSteps guards the two shortcuts that keep the walker
+// from simulating steps whose outcome is known, on route_long's network
+// (gen.UDG2D(1024, 0.06, 1), protocol seed 7) over the 64 pairs of the
+// engine's BenchmarkTracedLongRoute. Unsampled, no walk builds a closure
+// cover (the component index decides every check) and the last round's
+// stepper walks only what the round before it did not: its hops minus
+// the last round's sequence length. Sampled at ring 256, every round after
+// the first skips all but at most two rings of that prefix. It counts
+// steps, not time, so no machine's speed can trip it.
+func TestWalkerSkipsKnownSteps(t *testing.T) {
+	const n, ring = 1024, 256
+	r := newRouter(t, gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})
+	tc := trace.New(trace.Config{SampleRate: 1, HopRing: ring})
+	src := prng.New(1)
+	var reported, closure, walked, sampled int64
+	for range 64 {
+		s, d := graph.NodeID(src.Intn(n)), graph.NodeID(src.Intn(n))
+		if s == d || r.Certificate(s, d) != nil {
+			continue // answered without a walk
+		}
+		w := &Walker{r: r, ns: "route", cur: Cursor{Src: s, Dst: d}, res: &Result{}}
+		res, err := w.walk(context.Background(), 0, nil)
+		if err != nil {
+			t.Fatalf("%d->%d: %v", s, d, err)
+		}
+		if w.cover != nil {
+			t.Fatalf("%d->%d: built a closure cover the component index decides", s, d)
+		}
+		rounds := res.Rounds
+		if k := len(rounds); k > 1 {
+			if want := rounds[k-1].Hops - int64(rounds[k-2].SeqLen); w.flat.Hops() != want {
+				t.Fatalf("%d->%d: the last of %d rounds walked %d hops, want %d", s, d, k, w.flat.Hops(), want)
+			}
+		}
+		reported += res.Hops
+		walked += res.Hops
+		for k := 1; k < len(rounds); k++ {
+			walked -= int64(rounds[k-1].SeqLen)
+			closure += int64(rounds[k-1].SeqLen)
+		}
+
+		tr := tc.StartRequest("walk", "")
+		if _, err := r.RouteBudgeted(trace.NewContext(context.Background(), tr.Root()), s, d, 0, nil); err != nil {
+			t.Fatalf("%d->%d sampled: %v", s, d, err)
+		}
+		tr.Finish()
+		for _, sp := range tr.Export().Spans {
+			for _, ev := range sp.Events {
+				if ev.Name == "route.cover_check" && ev.Attrs["walked"] != false {
+					t.Fatalf("%d->%d sampled: cover check %v, want walked false", s, d, ev.Attrs)
+				}
+			}
+			if sp.Name != "route.round" {
+				continue
+			}
+			k, _ := sp.Attrs["round"].(int64)
+			skipped, ok := sp.Attrs["skipped_hops"].(int64)
+			if !ok {
+				t.Fatalf("%d->%d sampled: round %d has no skipped_hops attribute", s, d, k)
+			}
+			if k > 1 {
+				if least := int64(rounds[k-2].SeqLen) - 2*ring; skipped < least {
+					t.Fatalf("%d->%d sampled: round %d skipped %d hops, want at least %d", s, d, k, skipped, least)
+				}
+			}
+			sampled += sp.HopTotal - skipped
+		}
+	}
+	t.Logf("%d reported hops: %d steps walked unsampled (%d before the shortcuts, with %d closure-walk steps), %d sampled",
+		reported, walked, reported+closure, closure, sampled)
 }
