@@ -109,6 +109,45 @@ func TestRouteResumeRejections(t *testing.T) {
 	}
 }
 
+// TestRouteBudgetOutOfRange: a negative budget_hops or deadline_ms, or a
+// deadline_ms whose duration overflows time.Duration, is a 400 naming the
+// field on every route endpoint that takes them — not an unbounded walk,
+// and not a walk exhausted before its first hop. The largest deadline that
+// fits still routes.
+func TestRouteBudgetOutOfRange(t *testing.T) {
+	ts, _, _ := newTestServer(t, serverConfig{})
+	var ni networkInfo
+	if code := do(t, ts, http.MethodPost, "/v1/networks", `{"kind":"grid","rows":4,"cols":4}`, &ni); code != http.StatusCreated {
+		t.Fatalf("network create: status %d", code)
+	}
+	var wi worldInfo
+	if code := do(t, ts, http.MethodPost, "/v1/worlds",
+		`{"name":"range","schedule":{"kind":"markov","p_down":0.05,"p_up":0.5,"seed":9}}`, &wi); code != http.StatusCreated {
+		t.Fatalf("world create: status %d", code)
+	}
+	paths := []string{"/v1/route", "/v1/networks/" + ni.ID + "/route", "/v1/worlds/" + wi.ID + "/route"}
+	bad := []struct{ field, knob string }{
+		{"budget_hops", `"budget_hops":-1`},
+		{"deadline_ms", `"deadline_ms":-5`},
+		{"deadline_ms", `"deadline_ms":10000000000000`},
+	}
+	for _, path := range paths {
+		for _, c := range bad {
+			var eb errorBody
+			if code := do(t, ts, http.MethodPost, path, `{"src":0,"dst":10,`+c.knob+`}`, &eb); code != http.StatusBadRequest {
+				t.Errorf("%s with %s: status %d (%+v), want 400", path, c.knob, code, eb)
+			} else if !strings.Contains(eb.Error, c.field) {
+				t.Errorf("%s with %s: error %q does not name %s", path, c.knob, eb.Error, c.field)
+			}
+		}
+		body := fmt.Sprintf(`{"src":0,"dst":10,"deadline_ms":%d}`, maxDeadlineMS)
+		var rep struct{ Status string }
+		if code := do(t, ts, http.MethodPost, path, body, &rep); code != http.StatusOK || rep.Status != "success" {
+			t.Errorf("%s with the largest deadline: status %d, reply %+v, want a success verdict", path, code, rep)
+		}
+	}
+}
+
 // TestRouteWithPathBudgetConflict: with_path needs the uninterrupted walk,
 // so combining it with any bounded-work knob is a 400.
 func TestRouteWithPathBudgetConflict(t *testing.T) {

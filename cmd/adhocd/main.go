@@ -73,8 +73,9 @@
 //
 // Bounded work: POST /v1/route, /v1/networks/{id}/route, and
 // /v1/worlds/{id}/route accept budget_hops (max message hops), deadline_ms
-// (wall-time bound), and resume (an opaque signed token from an earlier
-// "budget_exhausted" reply). A walk stopped by either limit returns its
+// (wall-time bound; a negative value of either, or a deadline past the
+// largest time.Duration, is a 400), and resume (an opaque signed token
+// from an earlier "budget_exhausted" reply). A walk stopped by either limit returns its
 // position as a resume token instead of burning the full doubling budget;
 // provably-unreachable pairs on multi-component networks are answered in
 // O(1) with a reachability certificate. Resume tokens are HMAC-signed and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -722,6 +723,24 @@ func (req routeRequest) bounded() bool {
 	return req.BudgetHops > 0 || req.DeadlineMS > 0 || req.Resume != ""
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration can hold.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// budgetError names the bounded-work value no walk can honor — a negative
+// budget_hops or deadline_ms, or a deadline_ms past maxDeadlineMS — or
+// returns "" when both are in range (0 means none).
+func budgetError(budgetHops, deadlineMS int64) string {
+	switch {
+	case budgetHops < 0:
+		return "budget_hops must not be negative"
+	case deadlineMS < 0:
+		return "deadline_ms must not be negative"
+	case deadlineMS > maxDeadlineMS:
+		return fmt.Sprintf("deadline_ms must be at most %d", maxDeadlineMS)
+	}
+	return ""
+}
+
 // routeReply reports one routing outcome. Status "budget_exhausted" means
 // no verdict yet: Exhausted says which limit struck (budget or deadline)
 // and Resume is the token that continues the walk where it stopped.
@@ -764,6 +783,10 @@ func routeReplyOf(src, dst graph.NodeID, res *route.Result) routeReply {
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, eng *engine.Engine, scope string) {
 	var req routeRequest
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	if msg := budgetError(req.BudgetHops, req.DeadlineMS); msg != "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
 		return
 	}
 	src, dst := graph.NodeID(req.Src), graph.NodeID(req.Dst)

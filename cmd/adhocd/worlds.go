@@ -243,6 +243,10 @@ func (s *server) handleWorldRoute(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if msg := budgetError(req.BudgetHops, req.DeadlineMS); msg != "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: msg})
+		return
+	}
 	ent.Routes.Add(1)
 	src, dst := graph.NodeID(req.Src), graph.NodeID(req.Dst)
 	cfg := clampDynamics(req.HopsPerEpoch, req.MaxRounds)
