@@ -27,7 +27,8 @@
 // loop: every route and broadcast round of package route runs on it, and
 // RouteWalk is one unbounded Run. CoverWalk is the unmetered local walk
 // behind route.Cover, which runs the §4 closure check of every failed
-// round, broadcast, and ModeLocal counting round.
+// round the component index does not decide, broadcast, and ModeLocal
+// counting round.
 //
 // Concurrency contract: a compiled Graph is immutable after Compile and
 // safe for any number of concurrent walkers — every walk loop works

@@ -44,10 +44,11 @@ type Provider interface {
 // instrumentation. It runs the bound schedule, each round in hop segments,
 // the §4 closure check after a failed round, and stops on a verdict, on the
 // hop budget, or on the context, checked at round starts (and, on an
-// evolving topology, at epoch boundaries) but never per hop. It simulates
-// no step whose outcome is known: a static round starts where the last
-// one turned around (retrace), and the component index answers the
-// closure checks it decides, so a round's hops count more than it walks.
+// evolving topology, at epoch boundaries) but never per hop. It does not
+// simulate steps whose outcome is known: a static round that walk drives
+// starts where the last one turned around (retrace), and the component
+// index answers the closure checks it decides, so a round may count more
+// hops than it walks.
 type Walker struct {
 	r    *Router
 	prov Provider
