@@ -14,8 +14,9 @@ import (
 
 // Trace serving defaults (flag-tunable). The daemon head-samples every
 // request by default: a sampled walk round records no hop as it walks, and
-// when it ends re-walks at most two hop rings (512 hops at the default
-// ring) to fill its tail, however long the walk ran. The flight recorder
+// when it ends rewinds its stepper by at most one hop ring and re-walks
+// that ring (256 hops each way at the default ring) to fill its tail,
+// however long the walk ran. The flight recorder
 // retains only the slow and failed traces, so steady-state traffic costs
 // span bookkeeping and tail replays but no retention.
 const (

@@ -25,7 +25,9 @@
 //
 // Two walkers remain. RouteStepper.Run is the one metered, resumable hop
 // loop: every route and broadcast round of package route runs on it, and
-// RouteWalk is one unbounded Run. CoverWalk is the unmetered local walk
+// RouteWalk is one unbounded Run. RouteStepper.Rewind walks it back, which
+// the sequences' reversibility (§2) allows: package route rebuilds a
+// sampled round's hop tail that way. CoverWalk is the unmetered local walk
 // behind route.Cover, which runs the §4 closure check of every failed
 // round the component index does not decide, broadcast, and ModeLocal
 // counting round.

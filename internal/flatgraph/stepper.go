@@ -16,10 +16,10 @@ import (
 // advances it by one handler activation, matching netsim.Stepper's
 // granularity exactly (each activation performs one hop unless it is
 // terminal), so step-interleaved compositions charge identical step counts
-// on either execution path. A forward walk that runs out of sequence
-// records where it turned around (Turn): a later round whose sequence
-// extends this one retraces the walk up to there, so package route starts
-// it there instead of at the source.
+// on either execution path; Rewind moves it back along its own walk. A
+// forward walk that runs out of sequence records where it turned around
+// (Turn): a later round whose sequence extends this one retraces the walk
+// up to there, so package route starts it there instead of at the source.
 type RouteStepper struct {
 	f        *Graph
 	seq      Seq
@@ -212,6 +212,40 @@ func (st *RouteStepper) Run(limit int64) bool {
 			sink(f.orig[node], i, true)
 		}
 	}
+}
+
+// Rewind moves the stepper n hops back along its own walk. Exploration
+// sequences are reversible (§2, prev_v): the arrival half-edge leads back
+// to where the hop left from, and the symbol the hop consumed gives the
+// port it arrived on there. The turnaround is the backward state whose
+// index is one below the round's largest forward index. Rewind(n) followed
+// by Run(n) walks the same n hops again, so a caller that kept only the
+// stepper can re-emit a walk's last hops into a sink. It may go back past
+// the position the stepper was armed at, but only along the round's
+// forward walk, which the sequence alone determines. Metering peaks are
+// kept; a terminated round is no longer done, and its error is cleared.
+func (st *RouteStepper) Rewind(n int64) {
+	f, seq := st.f, st.seq
+	node, inPort, i := st.node, st.inPort, st.index
+	for range n {
+		h := f.halves[node*3+inPort]
+		node = h.To
+		switch {
+		case !st.backward:
+			i--
+			inPort = (h.Port + 3 - int32(seq.At(int(i)))) % 3
+		case i+1 == st.maxIndex:
+			i++
+			inPort = h.Port
+			st.backward, st.success, st.turn = false, false, 0
+		default:
+			i++
+			inPort = (h.Port + int32(seq.At(int(i)))) % 3
+		}
+	}
+	st.node, st.inPort, st.index, st.hops = node, inPort, i, st.hops-n
+	// Run's forward loop assumes the index never drops below the prefetch.
+	st.done, st.err, st.dirBase, st.dirLen = false, nil, 0, 0
 }
 
 // park stores Run's register copies back into the stepper.

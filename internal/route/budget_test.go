@@ -97,8 +97,8 @@ func runToVerdict(t *testing.T, r *Router, s, d graph.NodeID, budget int64) (*Re
 
 // TestRouteBudgetedSplitEqualsUninterrupted is the resume differential: a
 // walk split across budget-exhausted continuations must equal the
-// uninterrupted walk on verdict, total hops, header bits, bound, and
-// forward steps.
+// uninterrupted walk on verdict, total hops, header bits, bound, forward
+// steps, and peak memory.
 func TestRouteBudgetedSplitEqualsUninterrupted(t *testing.T) {
 	u := disjoint(t)
 	r := newRouter(t, u, Config{Seed: 3, DisableCertificates: true})
@@ -118,11 +118,11 @@ func TestRouteBudgetedSplitEqualsUninterrupted(t *testing.T) {
 			got, continuations := runToVerdict(t, r, p.s, p.d, budget)
 			if got.Status != want.Status || got.Hops != want.Hops ||
 				got.MaxHeaderBits != want.MaxHeaderBits || got.Bound != want.Bound ||
-				got.ForwardSteps != want.ForwardSteps {
-				t.Fatalf("route %d->%d budget %d: split (st %v, hops %d, hb %d, bound %d, fwd %d) != uninterrupted (st %v, hops %d, hb %d, bound %d, fwd %d)",
+				got.ForwardSteps != want.ForwardSteps || got.PeakMemoryBits != want.PeakMemoryBits {
+				t.Fatalf("route %d->%d budget %d: split (st %v, hops %d, hb %d, bound %d, fwd %d, mem %d) != uninterrupted (st %v, hops %d, hb %d, bound %d, fwd %d, mem %d)",
 					p.s, p.d, budget,
-					got.Status, got.Hops, got.MaxHeaderBits, got.Bound, got.ForwardSteps,
-					want.Status, want.Hops, want.MaxHeaderBits, want.Bound, want.ForwardSteps)
+					got.Status, got.Hops, got.MaxHeaderBits, got.Bound, got.ForwardSteps, got.PeakMemoryBits,
+					want.Status, want.Hops, want.MaxHeaderBits, want.Bound, want.ForwardSteps, want.PeakMemoryBits)
 			}
 			if budget == 1 && continuations < 2 {
 				t.Fatalf("route %d->%d: budget 1 finished in %d continuations over %d hops",

@@ -94,4 +94,7 @@ type Cursor struct {
 	Resumptions   int `json:"resumptions,omitempty"`
 	SinceEpoch    int `json:"since_epoch,omitempty"`
 	MaxHeaderBits int `json:"max_header_bits"`
+	// PeakMemoryBits is the walk's memory-metering peak so far, so the
+	// final Result reports the peak of every call.
+	PeakMemoryBits int `json:"peak_memory_bits,omitempty"`
 }

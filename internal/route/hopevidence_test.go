@@ -151,8 +151,9 @@ const jumpEvidenceDigest = "22a79fb531305b197fabdbf7a6ce3dcb8c0edc705521a410ec3e
 // protocol seed 7, with and without certificates, unbounded and in
 // budgeted, resumed segments, on a multi-component unit-disk graph and on
 // route_long's network, at hop rings 1, 7, 256 and 1000. A sampled round
-// that starts less than a ring before the turnaround, or that its budget
-// stops before it walked a ring, keeps a short hop tail and changes it.
+// whose budget stops it less than a ring past the turnaround rebuilds part
+// of its hop tail by rewinding into the hops it skipped; a rewind that
+// strays from the walk changes the evidence.
 func TestHopEvidenceJumpGolden(t *testing.T) {
 	type pair struct{ s, t graph.NodeID }
 	graphs := []struct {

@@ -65,7 +65,6 @@ type Walker struct {
 	jump walkPos
 
 	bounded bool   // a budget, deadline, or cursor is in play: rounds must run flat
-	resumed bool   // the walk began at a cursor, past steps an earlier call metered
 	cover   *Cover // the last closure check's walk, for Broadcast
 	sp, rsp *trace.Span
 	log     *hopLog // the sampled round's replay log (nil until a sampled walk enters the flat path)
@@ -73,21 +72,18 @@ type Walker struct {
 	err     error
 }
 
-// hopLog is a sampled round's replay log. The walk is oblivious — a round's
-// whole state is its stepper's (position, header) — so a sampled round does
-// not record its hops as it walks them. It walks in pieces of at most one
-// hop ring, keeps a copy of the stepper as each piece began, and when the
-// round's span ends re-walks the last ring of hops from those copies into
-// the span (replay). A copy carries its own immutable snapshot, so a round
-// that crossed recompiles replays each piece where it was walked. A round
-// that started where the last one's walk already went counts the hops it
-// skipped in total, and the log keeps where the last two forward pieces
-// began, a ring apart, for the next round to start from.
+// hopLog is a sampled round's replay log. Exploration sequences are
+// reversible (§2, prev_v), so a sampled round walks exactly as an unsampled
+// one and records no hop as it walks it: when the round's span ends, replay
+// rewinds a copy of the stepper by the last ring of hops and re-walks them
+// into the span. A re-entry moves the message to another snapshot, and a
+// rewind cannot cross it, so the log keeps the stepper each time the round
+// leaves a snapshot; each copy carries its own immutable snapshot.
 type hopLog struct {
-	ring   int64      // the span's hop ring capacity
-	pieces []hopPiece // oldest first; the last is the live piece
-	total  int64      // flat hops the round's span has counted
-	fwd    [2]walkPos // the last two pieces run started in a forward phase, oldest first
+	ring  int64                    // the span's hop ring capacity
+	total int64                    // hops the round's span counts, skipped ones included
+	live  bool                     // the live stepper walks the span's round
+	parts []flatgraph.RouteStepper // the round's steppers as it left each snapshot, oldest first
 }
 
 // walkPos is a forward position of a flat round: the dense node, the
@@ -97,70 +93,36 @@ type walkPos struct {
 	index        int64
 }
 
-// hopPiece is the stepper as a piece of the round began, and the hops the
-// round walked from it.
-type hopPiece struct {
-	st   flatgraph.RouteStepper
-	hops int64
-}
-
-// add starts a piece at st. It first drops the pieces no tail can need,
-// keeping only the shortest suffix whose hops add up to a ring: a round
-// that re-enters a snapshot at every epoch must not pin each one.
-func (l *hopLog) add(st *flatgraph.RouteStepper) {
-	keep, sum := len(l.pieces), int64(0)
+// leave keeps the live stepper st as the round leaves its snapshot. It
+// drops the parts no tail can reach, keeping only the shortest suffix whose
+// hops add up to a ring: a round that re-enters a snapshot at every epoch
+// must not pin each one.
+func (l *hopLog) leave(st *flatgraph.RouteStepper) {
+	if l == nil || !l.live {
+		return
+	}
+	l.parts, l.live = append(l.parts, *st), false
+	keep, sum := len(l.parts), int64(0)
 	for keep > 0 && sum < l.ring {
 		keep--
-		sum += l.pieces[keep].hops
+		sum += l.parts[keep].Hops()
 	}
-	if keep > 0 {
-		n := copy(l.pieces, l.pieces[keep:])
-		clear(l.pieces[n:])
-		l.pieces = l.pieces[:n]
-	}
-	l.pieces = append(l.pieces, hopPiece{st: *st})
-}
-
-// run is RouteStepper.Run for the live piece's stepper st: it walks in runs
-// that never carry a piece past one ring, starting the next piece whenever
-// the live one is full.
-func (l *hopLog) run(st *flatgraph.RouteStepper, limit int64) bool {
-	for {
-		if l.pieces[len(l.pieces)-1].hops >= l.ring {
-			if !st.Backward() {
-				node, inPort := st.Position()
-				l.fwd = [2]walkPos{l.fwd[1], {node, inPort, st.Index()}}
-			}
-			l.add(st)
-		}
-		p := &l.pieces[len(l.pieces)-1]
-		n := l.ring - p.hops
-		if limit >= 0 {
-			n = min(n, limit)
-		}
-		before := st.Hops()
-		ended := st.Run(n)
-		n = st.Hops() - before
-		p.hops += n
-		l.total += n
-		if limit >= 0 {
-			limit -= n
-		}
-		if ended || limit == 0 {
-			return ended
-		}
-	}
+	n := copy(l.parts, l.parts[keep:])
+	clear(l.parts[n:])
+	l.parts = l.parts[:n]
 }
 
 // replay records the round's hop evidence into sp: it counts the hops
-// older than the last ring, re-walks the last ring from the kept copies
-// with the span's sink attached, and empties the log for the next round.
-func (l *hopLog) replay(sp *trace.Span, s, t graph.NodeID) {
-	var kept int64
-	for _, p := range l.pieces {
-		kept += p.hops
+// older than the last ring, rewinds copies of the newest steppers the last
+// ring reaches — the oldest of them by whatever hops remain, past where it
+// was armed if the round skipped them — and re-walks the ring from them
+// with the span's sink attached. It then empties the log for the next
+// round.
+func (l *hopLog) replay(sp *trace.Span, live *flatgraph.RouteStepper, s, t graph.NodeID) {
+	if l.live {
+		l.parts = append(l.parts, *live)
 	}
-	emit := min(kept, l.ring)
+	emit := min(l.total, l.ring)
 	sp.SkipHops(l.total - emit)
 	sink := func(node graph.NodeID, index int64, backward bool) {
 		sp.Hop(trace.HopEvent{
@@ -170,25 +132,23 @@ func (l *hopLog) replay(sp *trace.Span, s, t graph.NodeID) {
 			Backward:   backward,
 		})
 	}
-	skip := kept - emit
-	for i := range l.pieces {
-		p := &l.pieces[i]
-		if skip >= p.hops {
-			skip -= p.hops
-			continue
-		}
-		p.st.Run(skip)
-		p.st.Instrument(sink)
-		p.st.Run(p.hops - skip)
-		skip = 0
+	first, rest := len(l.parts), emit
+	for first > 0 && rest > 0 {
+		first--
+		rest -= l.parts[first].Hops()
 	}
-	l.restart(0)
-}
-
-// restart empties the log for a round whose span has counted total hops.
-func (l *hopLog) restart(total int64) {
-	clear(l.pieces)
-	l.pieces, l.total = l.pieces[:0], total
+	for k := first; k < len(l.parts); k++ {
+		st := &l.parts[k]
+		n := st.Hops()
+		if k == first {
+			n += rest
+		}
+		st.Rewind(n)
+		st.Instrument(sink)
+		st.Run(n)
+	}
+	clear(l.parts)
+	l.parts, l.total, l.live = l.parts[:0], 0, false
 }
 
 // nextBound is the §3 doubling schedule, the only place it is computed: the
@@ -396,6 +356,7 @@ func (w *Walker) Reenter(r *Router, version uint64) error {
 	at := w.At()
 	index, backward, success := w.header()
 	w.fold()
+	w.log.leave(&w.flat)
 	w.r, w.cur.Version = r, version
 	if err := w.enterAt(at, index, backward, success); err != nil {
 		return err
@@ -413,7 +374,6 @@ func (w *Walker) Reenter(r *Router, version uint64) error {
 // and drives it within the limits.
 func (w *Walker) walk(ctx context.Context, maxHops int64, cur *Cursor) (*Result, error) {
 	w.bounded = maxHops > 0 || cur != nil || ctx.Done() != nil
-	w.resumed = cur != nil
 	var err error
 	if cur != nil {
 		err = w.resume(cur)
@@ -430,7 +390,7 @@ func (w *Walker) walk(ctx context.Context, maxHops int64, cur *Cursor) (*Result,
 	}
 	w.run(ctx, limit)
 	if w.res.Exhausted == "" {
-		w.res.Hops, w.res.MaxHeaderBits = w.cur.Hops, w.cur.MaxHeaderBits
+		w.res.Hops, w.res.MaxHeaderBits, w.res.PeakMemoryBits = w.cur.Hops, w.cur.MaxHeaderBits, w.cur.PeakMemoryBits
 	}
 	return w.res, w.err
 }
@@ -489,12 +449,12 @@ func (w *Walker) run(ctx context.Context, limit int64) {
 func (w *Walker) segment(limit int64) (hops int64, ended bool) {
 	if w.ref == nil {
 		before := w.flat.Hops()
+		ended = w.flat.Run(limit)
+		hops = w.flat.Hops() - before
 		if w.log != nil {
-			ended = w.log.run(&w.flat, limit)
-		} else {
-			ended = w.flat.Run(limit)
+			w.log.total += hops
 		}
-		return w.flat.Hops() - before, ended
+		return hops, ended
 	}
 	out := w.ref.Result()
 	before := out.Hops
@@ -535,14 +495,13 @@ func (w *Walker) startRound() error {
 // oblivious, and the sequence the last round ran out of on the flat
 // stepper is a prefix of the new one, so the new round would retrace that
 // round's walk hop for hop up to its turnaround, without meeting t; the
-// last round already metered every activation on the way. A sampled round
-// starts instead at the latest forward piece start its log kept at least
-// a ring before the turnaround, so that it walks the hop tail its span
-// keeps. A walk that began at a cursor never skips: an earlier call
-// metered part of the way.
+// last round already metered every activation on the way (in an earlier
+// call, if the walk began at a cursor: the cursor carries its peaks). A
+// sampled round starts there too: its replay rewinds into the hops it
+// skipped.
 func (w *Walker) retrace(prevBound int) walkPos {
 	node, inPort, ok := w.flat.Turn()
-	if !ok || w.prov != nil || w.resumed {
+	if !ok || w.prov != nil {
 		return walkPos{}
 	}
 	prev, _ := w.r.flatSeq(prevBound)
@@ -550,32 +509,18 @@ func (w *Walker) retrace(prevBound int) walkPos {
 	if !ok || next.Seed != prev.Seed || next.Base != prev.Base || next.Length <= prev.Length {
 		return walkPos{}
 	}
-	turn := walkPos{node, inPort, int64(prev.Length) + 1}
-	if w.log == nil {
-		return turn
-	}
-	var at walkPos
-	for _, p := range w.log.fwd {
-		if turn.index-p.index >= w.log.ring {
-			at = p
-		}
-	}
-	return at
+	return walkPos{node, inPort, int64(prev.Length) + 1}
 }
 
 // jumpAhead moves the fresh live round to w.jump when limit (< 0: none)
-// covers the hops that skips — plus, in a sampled round, a ring, so that
-// the round walks the hop tail its span keeps — and returns what is left
-// of limit. The skipped hops count as the round's own. A static round's
-// span records them as skipped_hops.
+// covers the hops that skips, and returns what is left of limit. The
+// skipped hops count as the round's own. A static round's span records
+// them as skipped_hops.
 func (w *Walker) jumpAhead(limit int64) int64 {
 	at := w.jump
 	w.jump = walkPos{}
-	var skip, ring int64
-	if w.log != nil {
-		ring = w.log.ring
-	}
-	if at.index > 1 && (limit < 0 || limit >= at.index-1+ring) {
+	var skip int64
+	if at.index > 1 && (limit < 0 || limit >= at.index-1) {
 		fs, _ := w.r.flatSeq(w.cur.Bound)
 		// The stepper produced at on this snapshot, so Reset cannot refuse
 		// it; if it did, the round would walk from the entry as it stands.
@@ -586,8 +531,7 @@ func (w *Walker) jumpAhead(limit int64) int64 {
 				limit -= skip
 			}
 			if w.log != nil {
-				w.log.restart(skip)
-				w.log.add(&w.flat)
+				w.log.total = skip
 			}
 		}
 	}
@@ -695,8 +639,8 @@ func (w *Walker) enter(node graph.NodeID, inPort int, index int64, backward, suc
 	return nil
 }
 
-// enterFlat puts the live round on the flat stepper at a dense position; a
-// sampled round starts a piece of its replay log there.
+// enterFlat puts the live round on the flat stepper at a dense position; in
+// a sampled round, the replay log then holds the stepper.
 func (w *Walker) enterFlat(node, inPort int32, fs flatgraph.Seq, index int64, backward, success bool) error {
 	w.ref, w.seqLen = nil, fs.Length
 	if err := w.flat.Reset(w.r.flat, node, inPort, w.cur.Src, w.cur.Dst, fs, index, backward, success); err != nil {
@@ -706,7 +650,7 @@ func (w *Walker) enterFlat(node, inPort int32, fs flatgraph.Seq, index int64, ba
 		if w.log == nil {
 			w.log = &hopLog{ring: int64(w.rsp.HopRing())}
 		}
-		w.log.add(&w.flat)
+		w.log.live = true
 	}
 	return nil
 }
@@ -721,8 +665,8 @@ func headerBits(s, t graph.NodeID, index int64) int {
 // endSpan closes the live round's span, replaying the round's hop tail into
 // it first.
 func (w *Walker) endSpan() {
-	if w.log != nil && len(w.log.pieces) > 0 {
-		w.log.replay(w.rsp, w.cur.Src, w.cur.Dst)
+	if w.log != nil {
+		w.log.replay(w.rsp, &w.flat, w.cur.Src, w.cur.Dst)
 	}
 	w.rsp.End()
 }
@@ -743,14 +687,14 @@ func (w *Walker) fold() {
 		out := w.ref.Result()
 		w.cur.RoundHops += out.Hops
 		w.cur.MaxHeaderBits = max(w.cur.MaxHeaderBits, out.MaxHeaderBits)
-		w.res.PeakMemoryBits = max(w.res.PeakMemoryBits, out.PeakMemoryBits)
+		w.cur.PeakMemoryBits = max(w.cur.PeakMemoryBits, out.PeakMemoryBits)
 		return
 	}
 	out := w.flat.Outcome()
 	w.cur.RoundHops += out.Hops
 	w.cur.MaxIndex = max(w.cur.MaxIndex, out.MaxIndex)
 	w.cur.MaxHeaderBits = max(w.cur.MaxHeaderBits, headerBits(w.cur.Src, w.cur.Dst, w.cur.MaxIndex))
-	w.res.PeakMemoryBits = max(w.res.PeakMemoryBits, out.PeakMemoryBits)
+	w.cur.PeakMemoryBits = max(w.cur.PeakMemoryBits, out.PeakMemoryBits)
 }
 
 // closeRound folds the live round into the walk, records its RoundStat,
@@ -913,9 +857,9 @@ func (w *Walker) exhaust(reason ExhaustReason) {
 	c.RoundHops += out.Hops
 	c.MaxIndex = max(c.MaxIndex, out.MaxIndex, c.Index)
 	c.MaxHeaderBits = max(c.MaxHeaderBits, headerBits(c.Src, c.Dst, c.MaxIndex))
+	c.PeakMemoryBits = max(c.PeakMemoryBits, out.PeakMemoryBits)
 	w.res.Cursor, w.res.Exhausted, w.res.Bound = &c, reason, c.Bound
-	w.res.Hops, w.res.MaxHeaderBits = c.Hops+c.RoundHops, c.MaxHeaderBits
-	w.res.PeakMemoryBits = max(w.res.PeakMemoryBits, out.PeakMemoryBits)
+	w.res.Hops, w.res.MaxHeaderBits, w.res.PeakMemoryBits = c.Hops+c.RoundHops, c.MaxHeaderBits, c.PeakMemoryBits
 	if w.rsp.Recording() {
 		w.rsp.Event(w.ns+".exhausted", trace.String("reason", string(reason)),
 			trace.Int("round_hops", c.RoundHops), trace.Int("index", c.Index))

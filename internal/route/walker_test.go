@@ -149,8 +149,8 @@ func TestWalkerSize(t *testing.T) {
 
 // reentryProvider walks a static router as if its world recompiled every h
 // hops: each segment is h hops long and ends in a re-entry. After every
-// segment and every re-entry it records how many pieces the sampled
-// round's replay log holds.
+// segment and every re-entry it records how many re-entry parts the
+// sampled round's replay log holds.
 type reentryProvider struct {
 	r         *Router
 	h         int64
@@ -163,14 +163,14 @@ func (p *reentryProvider) Snapshot() (*Router, uint64, error) { return p.r, 1, n
 func (p *reentryProvider) Limit(*Walker) int64 { return p.h }
 
 func (p *reentryProvider) SegmentEnd(w *Walker, hops int64) (epoch, abort bool, err error) {
-	p.most = max(p.most, len(w.log.pieces))
+	p.most = max(p.most, len(w.log.parts))
 	if hops < p.h {
 		return false, false, nil // the round ended inside the segment
 	}
 	if err := w.Reenter(p.r, 1); err != nil {
 		return false, false, err
 	}
-	p.most = max(p.most, len(w.log.pieces))
+	p.most = max(p.most, len(w.log.parts))
 	return true, false, nil
 }
 
@@ -183,8 +183,8 @@ func (p *reentryProvider) Retry(w *Walker) error {
 
 // TestReplayLogBound checks the replay log's trimming on a round that
 // re-enters every h hops (h at most one ring): it never holds more than
-// ceil(ring/h)+1 pieces — the suffix a ring-long tail needs, plus the live
-// piece — and the spans still count every hop the walk made.
+// ceil(ring/h) re-entry parts — the suffix a ring-long tail needs besides
+// the live stepper — and the spans still count every hop the walk made.
 func TestReplayLogBound(t *testing.T) {
 	r := newRouter(t, gen.UDG2D(64, 0.3, 1).G, Config{Seed: 5, LengthFactor: 1})
 	for _, c := range []struct{ ring, h int }{
@@ -198,8 +198,8 @@ func TestReplayLogBound(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrSequenceExhausted) {
 			t.Fatalf("ring %d h %d: %v", c.ring, c.h, err)
 		}
-		if bound := (c.ring+c.h-1)/c.h + 1; p.most > bound || p.most < 2 {
-			t.Fatalf("ring %d h %d: the replay log held up to %d pieces, want 2..%d", c.ring, c.h, p.most, bound)
+		if bound := (c.ring + c.h - 1) / c.h; p.most != bound {
+			t.Fatalf("ring %d h %d: the replay log held up to %d parts, want %d", c.ring, c.h, p.most, bound)
 		}
 		var hops int64
 		for _, sp := range tr.Export().Spans {
@@ -218,8 +218,9 @@ func TestReplayLogBound(t *testing.T) {
 // cover (the component index decides every check) and the last round's
 // stepper walks only what the round before it did not: its hops minus
 // the last round's sequence length. Sampled at ring 256, every round after
-// the first skips all but at most two rings of that prefix. It counts
-// steps, not time, so no machine's speed can trip it.
+// the first skips that same prefix, so the sampled walks simulate exactly
+// the unsampled steps. It counts steps, not time, so no machine's speed
+// can trip it.
 func TestWalkerSkipsKnownSteps(t *testing.T) {
 	const n, ring = 1024, 256
 	r := newRouter(t, gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})
@@ -272,8 +273,8 @@ func TestWalkerSkipsKnownSteps(t *testing.T) {
 				t.Fatalf("%d->%d sampled: round %d has no skipped_hops attribute", s, d, k)
 			}
 			if k > 1 {
-				if least := int64(rounds[k-2].SeqLen) - 2*ring; skipped < least {
-					t.Fatalf("%d->%d sampled: round %d skipped %d hops, want at least %d", s, d, k, skipped, least)
+				if want := int64(rounds[k-2].SeqLen); skipped != want {
+					t.Fatalf("%d->%d sampled: round %d skipped %d hops, want %d", s, d, k, skipped, want)
 				}
 			}
 			sampled += sp.HopTotal - skipped
@@ -281,4 +282,7 @@ func TestWalkerSkipsKnownSteps(t *testing.T) {
 	}
 	t.Logf("%d reported hops: %d steps walked unsampled (%d before the shortcuts, with %d closure-walk steps), %d sampled",
 		reported, walked, reported+closure, closure, sampled)
+	if sampled != walked {
+		t.Fatalf("sampled walks simulated %d steps, unsampled ones %d", sampled, walked)
+	}
 }

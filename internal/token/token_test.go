@@ -16,6 +16,7 @@ func testCursor() *route.Cursor {
 		Index: 41, Backward: true,
 		Version: 3, Hops: 120, RoundHops: 17, MaxIndex: 44,
 		Rounds: 3, Epochs: 2, Resumptions: 1, SinceEpoch: 9, MaxHeaderBits: 52,
+		PeakMemoryBits: 38,
 	}
 }
 
@@ -34,6 +35,24 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if *got != *cur {
 		t.Fatalf("round trip changed the cursor:\n got %+v\nwant %+v", got, cur)
+	}
+}
+
+// TestVerifiesCursorWithoutPeakMemory: a token minted before cursors
+// carried peak_memory_bits still verifies, with a zero peak.
+func TestVerifiesCursorWithoutPeakMemory(t *testing.T) {
+	s := NewSigner([]byte("test-key"))
+	payload := []byte(`{"scope":"world:w1","cursor":{"src":0,"dst":18,"bound":16,"node":7,"in_port":2,"at":5,` +
+		`"index":41,"backward":true,"success":false,"hops":120,"round_hops":17,"max_index":44,"rounds":3,"max_header_bits":52}}`)
+	enc := base64.RawURLEncoding
+	got, err := s.Verify("world:w1", enc.EncodeToString(payload)+"."+enc.EncodeToString(s.mac(payload)))
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	want := route.Cursor{Dst: 18, Bound: 16, Node: 7, InPort: 2, At: 5, Index: 41, Backward: true,
+		Hops: 120, RoundHops: 17, MaxIndex: 44, Rounds: 3, MaxHeaderBits: 52}
+	if *got != want {
+		t.Fatalf("old token decoded to %+v, want %+v", got, want)
 	}
 }
 
