@@ -422,14 +422,6 @@ func nextFaceNeighbor(ng *gen.Geometric, u, from graph.NodeID) graph.NodeID {
 	return best
 }
 
-// ShortestPathHops returns the BFS distance from s to t, and whether t is
-// reachable — the ground-truth oracle for stretch measurements.
-func ShortestPathHops(g *graph.Graph, s, t graph.NodeID) (int, bool) {
-	dist := g.BFSDist(s)
-	d, ok := dist[t]
-	return d, ok
-}
-
 func bitsLen(v int) int {
 	n := 0
 	for v > 0 {

@@ -270,20 +270,6 @@ func TestGFGErrors(t *testing.T) {
 	}
 }
 
-func TestShortestPathHops(t *testing.T) {
-	g := gen.Grid(3, 3)
-	if d, ok := ShortestPathHops(g, 0, 8); !ok || d != 4 {
-		t.Fatalf("dist = (%d,%v), want (4,true)", d, ok)
-	}
-	u, err := gen.DisjointUnion(gen.Cycle(3), gen.Cycle(3), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ShortestPathHops(u, 0, 10); ok {
-		t.Fatal("cross-component distance reported reachable")
-	}
-}
-
 func TestDFSRouteDelivers(t *testing.T) {
 	tests := []struct {
 		name string

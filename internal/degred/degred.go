@@ -276,12 +276,6 @@ func (r *Reduced) Entry(v graph.NodeID) (graph.NodeID, bool) {
 	return r.slots[ix][0], true
 }
 
-// SameOriginal reports whether gadget node v simulates original node o.
-func (r *Reduced) SameOriginal(v, o graph.NodeID) bool {
-	got, ok := r.Original(v)
-	return ok && got == o
-}
-
 // portOwner returns the gadget node owning the original port p of original
 // node v. Degree ≥ 3 gadgets own port i at slot i; degree-2 gadgets own one
 // port per slot; the degree-1 gadget owns its single port.

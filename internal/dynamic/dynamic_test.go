@@ -175,14 +175,15 @@ func TestWaypointRederivesGeometry(t *testing.T) {
 	w := NewWorld(geo.G, sched)
 	w.SetPositions(geo.Pos)
 	advanceN(t, w, 15)
-	if !w.HasPositions() {
-		t.Fatal("positions lost")
-	}
-	// Every surviving edge must respect the disk radius; every in-range
-	// pair must be connected (the UDG re-derivation invariant).
+	// Every node keeps its position, every surviving edge must respect the
+	// disk radius, and every in-range pair must be connected (the UDG
+	// re-derivation invariant).
 	nodes := w.Graph().Nodes()
 	for i, u := range nodes {
-		pu, _ := w.Pos(u)
+		pu, ok := w.Pos(u)
+		if !ok {
+			t.Fatalf("node %d lost its position", u)
+		}
 		for _, v := range nodes[i+1:] {
 			pv, _ := w.Pos(v)
 			inRange := (pu.Sub(pv)).Dot(pu.Sub(pv)) <= 0.3*0.3
@@ -196,8 +197,10 @@ func TestWaypointRederivesGeometry(t *testing.T) {
 func TestWaypointSeedsMissingPositions(t *testing.T) {
 	w := NewWorld(gen.Grid(3, 3), &RandomWaypoint{Seed: 4, SpeedMax: 0.1, Radius: 0.5})
 	advanceN(t, w, 1)
-	if !w.HasPositions() {
-		t.Fatal("waypoint did not place position-less nodes")
+	for _, v := range w.Graph().Nodes() {
+		if _, ok := w.Pos(v); !ok {
+			t.Fatalf("waypoint did not place position-less node %d", v)
+		}
 	}
 }
 

@@ -40,9 +40,6 @@ type Config struct {
 	HopsPerEpoch int
 	// MaxRounds bounds the retry loop (0 = DefaultMaxRounds).
 	MaxRounds int
-	// Lookahead bounds the probe's next-link scan, in hops of G′
-	// (0 = DefaultLookahead).
-	Lookahead int
 	// DisableFlat drives the walk through the netsim reference stepper and
 	// the stateless per-node handler instead of the compiled flat stepper,
 	// and the closure check through the reference cover walk. The two are
@@ -61,8 +58,10 @@ type Config struct {
 const (
 	DefaultHopsPerEpoch = 64
 	DefaultMaxRounds    = 64
-	DefaultLookahead    = 32
 )
+
+// lookahead bounds the probe's next-link scan, in hops of G′.
+const lookahead = 32
 
 func (c Config) hopsPerEpoch() int {
 	if c.HopsPerEpoch == 0 {
@@ -79,13 +78,6 @@ func (c Config) maxRounds() int {
 		return DefaultMaxRounds
 	}
 	return c.MaxRounds
-}
-
-func (c Config) lookahead() int {
-	if c.Lookahead <= 0 {
-		return DefaultLookahead
-	}
-	return c.Lookahead
 }
 
 // Result is the outcome of a dynamic route.
@@ -305,7 +297,7 @@ func (p *worldWalk) SegmentEnd(w *route.Walker, hops int64) (epoch, abort bool, 
 	st.SinceEpoch = 0
 	ver := p.r.w.Version()
 	probe := Probe{Active: true, At: w.At(), nextLink: func() (Edge, bool) {
-		u, v, ok := w.NextLink(p.r.cfg.lookahead())
+		u, v, ok := w.NextLink(lookahead)
 		return Edge{U: u, V: v}, ok
 	}}
 	if err := p.r.w.Advance(probe); err != nil {

@@ -410,21 +410,6 @@ func (w *World) SetPositions(pos map[graph.NodeID]geom.Point) {
 	}
 }
 
-// HasPositions reports whether every node has a position.
-func (w *World) HasPositions() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.pos == nil {
-		return false
-	}
-	for _, v := range w.g.Nodes() {
-		if _, ok := w.pos[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // SeedPositions places every node without a position uniformly at random
 // in the unit square, deterministically in seed. Mobility schedules call
 // this when handed a world that has no geometry yet.

@@ -186,14 +186,6 @@ func (m *Memory) Charge(bits int) error {
 	return nil
 }
 
-// Release returns bits to the meter.
-func (m *Memory) Release(bits int) {
-	m.used -= bits
-	if m.used < 0 {
-		m.used = 0
-	}
-}
-
 // Reset clears the current usage (between activations) while keeping the
 // peak statistic.
 func (m *Memory) Reset() { m.used = 0 }

@@ -93,10 +93,6 @@ func TestMemoryMeter(t *testing.T) {
 	if m.Peak() != 101 {
 		t.Fatalf("peak = %d, want 101", m.Peak())
 	}
-	m.Release(50)
-	if err := m.Charge(30); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
 	m.Reset()
 	if err := m.Charge(100); err != nil {
 		t.Fatalf("after reset: %v", err)
@@ -110,14 +106,6 @@ func TestMemoryUnlimited(t *testing.T) {
 	m := NewMemory(0)
 	if err := m.Charge(1 << 30); err != nil {
 		t.Fatalf("unlimited meter errored: %v", err)
-	}
-}
-
-func TestMemoryReleaseFloor(t *testing.T) {
-	m := NewMemory(10)
-	m.Release(100)
-	if err := m.Charge(10); err != nil {
-		t.Fatalf("negative usage leaked: %v", err)
 	}
 }
 

@@ -32,7 +32,7 @@
 // nil-receiver safe and the hot paths carry a single pointer test.
 //
 // Retention decides at request end whether a sampled trace enters the
-// flight recorder: always on error (Trace.SetError or ForceRetain),
+// flight recorder: always on error (Trace.SetError),
 // always when the request latency reached Config.SlowThreshold (the
 // tail-latency trigger), and unconditionally when SlowThreshold is zero.
 // The recorder is a lock-free ring of atomic pointers — the last

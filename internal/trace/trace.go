@@ -179,14 +179,6 @@ func (tr *Trace) SetError(msg string) {
 	tr.retain.Store(true)
 }
 
-// ForceRetain marks the trace for retention regardless of latency.
-func (tr *Trace) ForceRetain() {
-	if tr == nil {
-		return
-	}
-	tr.retain.Store(true)
-}
-
 // Err returns the trace-level error message ("" when clean).
 func (tr *Trace) Err() string {
 	if tr == nil {

@@ -139,11 +139,8 @@ func TestRetentionPolicy(t *testing.T) {
 	bad := sel.StartRequest("bad", "")
 	bad.SetError("boom")
 	bad.Finish()
-	forced := sel.StartRequest("forced", "")
-	forced.ForceRetain()
-	forced.Finish()
-	if got := sel.Recorder().Kept(); got != 2 {
-		t.Fatalf("error+forced: kept %d, want 2", got)
+	if got := sel.Recorder().Kept(); got != 1 {
+		t.Fatalf("error: kept %d, want 1", got)
 	}
 	if sel.Recorder().Find(bad.ID()).Err() != "boom" {
 		t.Fatal("error message lost")
@@ -256,7 +253,6 @@ func TestNilSafety(t *testing.T) {
 	// None of these may panic; Child must return nil so chains stay no-op.
 	tr.Finish()
 	tr.SetError("x")
-	tr.ForceRetain()
 	if tr.Sampled() || tr.Err() != "" || tr.Traceparent() != "" || !tr.ID().IsZero() || tr.Root() != nil || tr.Duration() != 0 {
 		t.Fatal("nil Trace not inert")
 	}

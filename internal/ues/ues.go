@@ -33,7 +33,6 @@ import (
 
 // Errors reported by walks and verification.
 var (
-	ErrIndexRange   = errors.New("ues: sequence index out of range")
 	ErrNotUniversal = errors.New("ues: sequence failed universality check")
 )
 
