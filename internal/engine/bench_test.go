@@ -17,9 +17,9 @@ import (
 // the identical warm shared-world query as the dynamic package's
 // BenchmarkSharedWorldRoute (Torus(5,5), 10 churned epochs, frozen-clock
 // 0→18), but through Engine.RouteDynamic — i.e. including the always-on
-// metrics this PR added (two clock reads, the latency/hop/header-bit
-// histogram observes, and the counter adds). The acceptance bar
-// (BENCH_PR5.json) is staying within 10% of BENCH_PR4.json's 0.9 µs.
+// metrics (two clock reads, the latency/hop/header-bit histogram
+// observes, and the counter adds). Its gap to BenchmarkSharedWorldRoute
+// in the same run is what the metrics cost.
 func BenchmarkInstrumentedSharedWorldRoute(b *testing.B) {
 	e, err := Compile(gen.Torus(5, 5), Config{Seed: 3})
 	if err != nil {
@@ -94,9 +94,9 @@ func BenchmarkVecRoute(b *testing.B) {
 // BenchmarkBudgetedSharedWorldRoute is the bounded-work perf guard: the
 // identical warm shared-world query as BenchmarkInstrumentedSharedWorldRoute,
 // but through RouteDynamicBudgeted with a deadline context and a hop budget
-// armed — i.e. every robustness feature of this PR live but never striking.
-// The acceptance bar (BENCH_PR7.json) is staying within 1% of
-// BENCH_PR6.json's 896.8 ns.
+// armed — i.e. every bounded-work feature live but never striking. Its gap
+// to BenchmarkInstrumentedSharedWorldRoute in the same run is what arming
+// them costs.
 func BenchmarkBudgetedSharedWorldRoute(b *testing.B) {
 	e, err := Compile(gen.Torus(5, 5), Config{Seed: 3})
 	if err != nil {
@@ -237,8 +237,8 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 // network (gen.UDG2D(1024, 0.06, 1) at protocol seed 7, one node isolated)
 // over 64 fixed pairs, about 42k reported hops per query but fewer
 // simulated: each round after the first starts where the last one turned
-// around (a sampled one up to two hop rings earlier), and no closure
-// check walks (route's TestWalkerSkipsKnownSteps counts the steps).
+// around, sampled or not, and no closure check walks (route's
+// TestWalkerSkipsKnownSteps counts the steps).
 // untraced routes through Engine.RouteBudgeted with a background context;
 // traced opens a fresh trace per query as adhocd does at its defaults
 // (sample rate 1, 100ms retention), so its round spans pay for their hop

@@ -15,8 +15,8 @@ import (
 // monotonic; PeakHeaderBits is a CAS-maintained maximum; the histograms
 // are fixed-bucket atomics (obs.Histogram), so recording a query costs a
 // handful of atomic adds — cheap enough to stay always on without
-// regressing the sub-microsecond warm route path (pinned by
-// BenchmarkInstrumentedSharedWorldRoute against BENCH_PR4.json).
+// regressing the sub-microsecond warm route path
+// (BenchmarkInstrumentedSharedWorldRoute prices it).
 //
 // Latency is sampled: a clock-read pair costs ~90 ns on a busy serving
 // host — a tenth of the whole warm route — so Route and RouteDynamic time
