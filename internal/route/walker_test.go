@@ -182,9 +182,10 @@ func (p *reentryProvider) Retry(w *Walker) error {
 }
 
 // TestReplayLogBound checks the replay log's trimming on a round that
-// re-enters every h hops (h at most one ring): it never holds more than
-// ceil(ring/h) re-entry parts — the suffix a ring-long tail needs besides
-// the live stepper — and the spans still count every hop the walk made.
+// re-enters every h hops (h at most one ring): at its fullest it holds
+// exactly ceil(ring/h) re-entry parts — the suffix a ring-long tail needs
+// besides the live stepper — and the spans still count every hop the walk
+// made.
 func TestReplayLogBound(t *testing.T) {
 	r := newRouter(t, gen.UDG2D(64, 0.3, 1).G, Config{Seed: 5, LengthFactor: 1})
 	for _, c := range []struct{ ring, h int }{
