@@ -235,10 +235,13 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 
 // BenchmarkTracedLongRoute is the tracing perf guard on long walks: route_long's
 // network (gen.UDG2D(1024, 0.06, 1) at protocol seed 7, one node isolated)
-// over 64 fixed pairs, about 42k reported hops per query but fewer
+// over 64 fixed pairs, about 60k reported hops per query but about 25k
 // simulated: each round after the first starts where the last one turned
-// around, sampled or not, and no closure check walks (route's
-// TestWalkerSkipsKnownSteps counts the steps).
+// around, every round computes its backward walk at its turnaround instead
+// of walking it, sampled or not, and no closure check walks (route's
+// TestWalkerSkipsKnownSteps counts the skipped and computed steps). A
+// sampled round still re-walks its last ring of hops into its span, a
+// larger share of the work now that the walk back is not simulated.
 // untraced routes through Engine.RouteBudgeted with a background context;
 // traced opens a fresh trace per query as adhocd does at its defaults
 // (sample rate 1, 100ms retention), so its round spans pay for their hop

@@ -25,8 +25,13 @@
 //
 // Two walkers remain. RouteStepper.Run is the one metered, resumable hop
 // loop: every route and broadcast round of package route runs on it, and
-// RouteWalk is one unbounded Run. RouteStepper.Rewind walks it back, which
-// the sequences' reversibility (§2) allows: package route rebuilds a
+// RouteWalk is one unbounded Run. The sequences' reversibility (§2) lets
+// Run skip a round's backward walk, which only retraces the forward walk
+// back to its last visit to a gadget of the source: the forward loop
+// records that visit and what the walk back would meter, and Run moves
+// the stepper straight to the delivered state at the turnaround unless a
+// hop sink watches or the limit stops the walk back first. It also lets
+// RouteStepper.Rewind walk a stepper back: package route rebuilds a
 // sampled round's hop tail that way. CoverWalk is the unmetered local walk
 // behind route.Cover, which runs the §4 closure check of every failed
 // round the component index does not decide, broadcast, and ModeLocal

@@ -20,6 +20,9 @@ import (
 // forward walk that runs out of sequence records where it turned around
 // (Turn): a later round whose sequence extends this one retraces the walk
 // up to there, so package route starts it there instead of at the source.
+// The forward walk also records its last visit to a gadget of src, where
+// the backward walk will deliver, so Run can take the whole backward walk
+// in one move at the turnaround (§2) instead of retracing it hop by hop.
 type RouteStepper struct {
 	f        *Graph
 	seq      Seq
@@ -30,19 +33,26 @@ type RouteStepper struct {
 	backward bool
 	success  bool
 	done     bool
+	unwound  bool // terminated with ErrUnwound
 	// turn is the half-edge slot (node*3+inPort) where the forward walk
 	// ran out of sequence, plus 1; 0 when it has not.
 	turn int32
 	hops int64
-	err  error
+
+	// rec is the record of the forward walk's last stepping activation at
+	// a gadget of src: the half-edge slot node*3+exit plus 1 (0: none),
+	// the index there, and the largest charge the backward walk meters
+	// from the turnaround down to it. Past the turnaround it stays set
+	// only when Run moved the stepper straight onto it.
+	rec      int32
+	recPeak  int32
+	recIndex int64
 
 	// The metering replica of the reference engine: the per-activation
-	// memory peak, the largest header index of a forward activation, and
-	// the index at backward delivery.
-	peak      int
-	maxIndex  int64
-	delivered int64
-	sink      HopSink
+	// memory peak and the largest header index of a forward activation.
+	peak     int
+	maxIndex int64
+	sink     HopSink
 
 	// dirs holds the prefetched symbols T[dirBase, dirBase+dirLen), shared
 	// by every segment and step of the round.
@@ -97,6 +107,17 @@ func (st *RouteStepper) Step() bool { return st.Run(1) }
 // route.charge: every activation carries memw + inPort + 4 +
 // wordBits(index); stepping activations add the direction register t+1;
 // terminal activations charge the base only.
+//
+// The backward walk undoes the forward walk step by step (§2) until it
+// reaches a gadget of src, so it ends at the forward walk's last visit to
+// one, and at forward index k it charges the forward activation's charge
+// with the exit port in place of the arrival port. The forward loop keeps
+// that record; at the turnaround, when it exists, no sink is attached and
+// the limit covers the backward hops with room to spare, Run moves the
+// stepper straight to the delivered state with the hops and peak the walk
+// back would have produced. Otherwise it walks back hop by hop. A walk
+// back that the limit ends exactly at the record parks there undone, as
+// it always has, so Step never takes the shortcut.
 func (st *RouteStepper) Run(limit int64) bool {
 	if st.done {
 		return true
@@ -122,14 +143,20 @@ func (st *RouteStepper) Run(limit int64) bool {
 	)
 	if !st.backward {
 		L := int64(seq.Length)
+		// The record's slot and index change only at gadgets of src, so
+		// they stay in the stepper; the backward peak, which moves every
+		// hop, gets a register.
+		recPeak := int(st.recPeak)
 		for {
 			if hops >= stop {
 				st.maxIndex = max(st.maxIndex, i-1)
+				st.recPeak = int32(recPeak)
 				st.park(node, inPort, i, hops, peak, base, blen)
 				return false
 			}
 			act := int(f.memw[node]) + int(inPort) + 4 + wordBits(i)
-			if found := f.orig[node] == dst; found || i > L {
+			o := f.orig[node]
+			if found := o == dst; found || i > L {
 				// Turnaround: the terminal forward activation bounces the
 				// message back through its arrival port with the index
 				// pointing at the step to undo.
@@ -141,6 +168,13 @@ func (st *RouteStepper) Run(limit int64) bool {
 				if !found {
 					st.turn = node*3 + inPort + 1
 				}
+				if rec, back := st.rec, i-st.recIndex; rec != 0 && sink == nil && hops+back < stop {
+					// The walk back would deliver on the record, back hops on.
+					st.done = true
+					st.park((rec-1)/3, (rec-1)%3, st.recIndex, hops+back, max(peak, recPeak), base, blen)
+					return true
+				}
+				st.rec = 0
 				i--
 				h := f.halves[node*3+inPort]
 				node, inPort = h.To, h.Port
@@ -162,6 +196,14 @@ func (st *RouteStepper) Run(limit int64) bool {
 			if exit >= 3 {
 				exit -= 3
 			}
+			// The backward activation at this index charges act with exit in
+			// place of inPort: terminal at a gadget of src, stepping
+			// elsewhere.
+			if o == src {
+				st.rec, st.recIndex, recPeak = node*3+exit+1, i, act-int(inPort)+int(exit)
+			} else {
+				recPeak = max(recPeak, act-int(inPort)+int(exit)+int(t)+1)
+			}
 			h := f.halves[node*3+exit]
 			node, inPort = h.To, h.Port
 			i++
@@ -182,12 +224,12 @@ func (st *RouteStepper) Run(limit int64) bool {
 			if act > peak {
 				peak = act
 			}
-			st.delivered, st.done = i, true
+			st.done = true
 			st.park(node, inPort, i, hops, peak, base, blen)
 			return true
 		}
 		if i < 1 {
-			st.err, st.done = ErrUnwound, true
+			st.unwound, st.done = true, true
 			st.park(node, inPort, i, hops, peak, base, blen)
 			return true
 		}
@@ -214,16 +256,29 @@ func (st *RouteStepper) Run(limit int64) bool {
 	}
 }
 
+// Inherit hands a stepper armed at a forward position the record of the
+// walk that led there: its last forward visit to a gadget of src left
+// that gadget through port exit with the given index. A round that starts
+// at the last round's turnaround inherits the record that round delivered
+// at, so Run can still take its backward walk in one move. The record's
+// backward peak starts at zero: the last round metered those backward
+// activations already, and the walk's peak is the largest over its rounds.
+func (st *RouteStepper) Inherit(node, exit int32, index int64) {
+	st.rec, st.recIndex, st.recPeak = node*3+exit+1, index, 0
+}
+
 // Rewind moves the stepper n hops back along its own walk. Exploration
 // sequences are reversible (§2, prev_v): the arrival half-edge leads back
 // to where the hop left from, and the symbol the hop consumed gives the
 // port it arrived on there. The turnaround is the backward state whose
 // index is one below the round's largest forward index. Rewind(n) followed
 // by Run(n) walks the same n hops again, so a caller that kept only the
-// stepper can re-emit a walk's last hops into a sink. It may go back past
-// the position the stepper was armed at, but only along the round's
-// forward walk, which the sequence alone determines. Metering peaks are
-// kept; a terminated round is no longer done, and its error is cleared.
+// stepper can re-emit a walk's last hops into a sink; a backward walk Run
+// took in one move rewinds like a walked one. It may go back past the
+// position the stepper was armed at, but only along the round's forward
+// walk, which the sequence alone determines. Metering peaks are kept; a
+// terminated round is no longer done, its error is cleared, and the
+// record of its last visit to src is dropped.
 func (st *RouteStepper) Rewind(n int64) {
 	f, seq := st.f, st.seq
 	node, inPort, i := st.node, st.inPort, st.index
@@ -245,7 +300,7 @@ func (st *RouteStepper) Rewind(n int64) {
 	}
 	st.node, st.inPort, st.index, st.hops = node, inPort, i, st.hops-n
 	// Run's forward loop assumes the index never drops below the prefetch.
-	st.done, st.err, st.dirBase, st.dirLen = false, nil, 0, 0
+	st.done, st.unwound, st.rec, st.dirBase, st.dirLen = false, false, 0, 0, 0
 }
 
 // park stores Run's register copies back into the stepper.
@@ -257,13 +312,26 @@ func (st *RouteStepper) park(node, inPort int32, index, hops int64, peak int, ba
 // Outcome reports the round's RouteWalk statistics so far; once the round
 // has terminated with a nil Err they are exactly RouteWalk's.
 func (st *RouteStepper) Outcome() RouteOutcome {
-	return RouteOutcome{
+	out := RouteOutcome{
 		Success:        st.success,
 		Hops:           st.hops,
-		DeliveredIndex: st.delivered,
 		MaxIndex:       st.maxIndex,
 		PeakMemoryBits: st.peak,
 	}
+	if st.done && !st.unwound {
+		out.DeliveredIndex = st.index
+	}
+	return out
+}
+
+// Computed returns the backward hops Run took in one move at the
+// turnaround instead of walking them: the turnaround's index minus the
+// delivered one, or 0 if the round walked back or has not delivered.
+func (st *RouteStepper) Computed() int64 {
+	if !st.done || st.rec == 0 {
+		return 0
+	}
+	return st.maxIndex - st.index
 }
 
 // Success reports the verdict: true if the forward walk reached the
@@ -274,7 +342,12 @@ func (st *RouteStepper) Success() bool { return st.success }
 func (st *RouteStepper) Hops() int64 { return st.hops }
 
 // Err returns the terminal error, if any.
-func (st *RouteStepper) Err() error { return st.err }
+func (st *RouteStepper) Err() error {
+	if st.unwound {
+		return ErrUnwound
+	}
+	return nil
+}
 
 // Position returns the current dense node and arrival port.
 func (st *RouteStepper) Position() (node, inPort int32) { return st.node, st.inPort }

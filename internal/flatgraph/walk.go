@@ -70,7 +70,8 @@ type RouteOutcome struct {
 // the verdict back to the first node simulating src. It is the compiled
 // equivalent of the netsim token engine driving route's handler — same
 // positions, same hop counts, same verdict, same metering — with no
-// allocations and no per-hop error paths: one unbounded RouteStepper.Run.
+// allocations and no per-hop error paths: one unbounded RouteStepper.Run,
+// which computes the reversed walk at the turnaround instead of walking it.
 func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOutcome, error) {
 	var st RouteStepper
 	if err := st.Reset(f, start, 0, src, dst, seq, 1, false, false); err != nil {

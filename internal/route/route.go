@@ -25,7 +25,10 @@
 // at that moment, unless the component index puts s and t in one
 // component, which already answers "not covered". A static round after
 // the first starts where the last one's walk turned around, the way there
-// being known. Route runs the driver with no limit, RouteBudgeted
+// being known, and a flat round's backward walk, which retraces its
+// forward walk to the last visit to a gadget of s, is computed at the
+// turnaround when its segment covers it, the way back being known too.
+// Route runs the driver with no limit, RouteBudgeted
 // restores and mints cursors, Walker.Step advances one activation,
 // Broadcast walks toward a name no node carries, and package dynamic
 // plugs an evolving topology in as a Provider consulted at round starts,

@@ -46,9 +46,11 @@ type Provider interface {
 // hop budget, or on the context, checked at round starts (and, on an
 // evolving topology, at epoch boundaries) but never per hop. It does not
 // simulate steps whose outcome is known: a static round that walk drives
-// starts where the last one turned around (retrace), and the component
-// index answers the closure checks it decides, so a round may count more
-// hops than it walks.
+// starts where the last one turned around (retrace), a flat round whose
+// segment covers its backward walk computes it at the turnaround
+// (flatgraph.RouteStepper.Run), and the component index answers the
+// closure checks it decides, so a round may count more hops than it
+// walks.
 type Walker struct {
 	r    *Router
 	prov Provider
@@ -60,9 +62,10 @@ type Walker struct {
 	ref    *netsim.Stepper // the live round, when it runs on the reference engine
 	seqLen int
 	// jump is where run may move the fresh live round from the source's
-	// entry (retrace; index 0: nowhere). Step never moves it: the hybrid
-	// race counts every activation.
-	jump walkPos
+	// entry, and back where the round it retraces delivered (retrace;
+	// index 0: nowhere). Step never moves it: the hybrid race counts every
+	// activation.
+	jump, back walkPos
 
 	bounded bool   // a budget, deadline, or cursor is in play: rounds must run flat
 	cover   *Cover // the last closure check's walk, for Broadcast
@@ -86,8 +89,8 @@ type hopLog struct {
 	parts []flatgraph.RouteStepper // the round's steppers as it left each snapshot, oldest first
 }
 
-// walkPos is a forward position of a flat round: the dense node, the
-// arrival port, and the header index the message carries there.
+// walkPos is a position of a flat round: the dense node, the arrival port,
+// and the header index the message carries there.
 type walkPos struct {
 	node, inPort int32
 	index        int64
@@ -481,7 +484,7 @@ func (w *Walker) startRound() error {
 	w.cur.Bound = nextBound(w.cur.Bound, w.r.cfg.GrowthFactor, w.r.maxBound(), w.r.cfg.KnownN)
 	w.cur.Rounds++
 	w.cur.RoundHops, w.cur.MaxIndex = 0, 1
-	w.jump = w.retrace(prev)
+	w.jump, w.back = w.retrace(prev)
 	w.openRound()
 	start, err := w.r.entry(w.cur.Src)
 	if err != nil {
@@ -491,40 +494,45 @@ func (w *Walker) startRound() error {
 }
 
 // retrace returns where a fresh static round at w.cur.Bound may start
-// instead of the source's entry, or the zero walkPos. The walk is
-// oblivious, and the sequence the last round ran out of on the flat
-// stepper is a prefix of the new one, so the new round would retrace that
-// round's walk hop for hop up to its turnaround, without meeting t; the
-// last round already metered every activation on the way (in an earlier
-// call, if the walk began at a cursor: the cursor carries its peaks). A
-// sampled round starts there too: its replay rewinds into the hops it
-// skipped.
-func (w *Walker) retrace(prevBound int) walkPos {
+// instead of the source's entry, and where the last round delivered, or
+// two zero walkPos. The walk is oblivious, and the sequence the last round
+// ran out of on the flat stepper is a prefix of the new one, so the new
+// round would retrace that round's walk hop for hop up to its turnaround,
+// without meeting t; the last round already metered every activation on
+// the way (in an earlier call, if the walk began at a cursor: the cursor
+// carries its peaks). Its walk back ended at its last visit to a gadget of
+// s, which is the new round's record too until its forward walk meets s
+// again. A sampled round starts there too: its replay rewinds into the
+// hops it skipped.
+func (w *Walker) retrace(prevBound int) (turn, back walkPos) {
 	node, inPort, ok := w.flat.Turn()
 	if !ok || w.prov != nil {
-		return walkPos{}
+		return walkPos{}, walkPos{}
 	}
 	prev, _ := w.r.flatSeq(prevBound)
 	next, ok := w.r.flatSeq(w.cur.Bound)
 	if !ok || next.Seed != prev.Seed || next.Base != prev.Base || next.Length <= prev.Length {
-		return walkPos{}
+		return walkPos{}, walkPos{}
 	}
-	return walkPos{node, inPort, int64(prev.Length) + 1}
+	at, exit := w.flat.Position()
+	return walkPos{node, inPort, int64(prev.Length) + 1}, walkPos{at, exit, w.flat.Index()}
 }
 
 // jumpAhead moves the fresh live round to w.jump when limit (< 0: none)
-// covers the hops that skips, and returns what is left of limit. The
-// skipped hops count as the round's own. A static round's span records
-// them as skipped_hops.
+// covers the hops that skips, hands it the record of the last round's
+// delivery (w.back), and returns what is left of limit. The skipped hops
+// count as the round's own. A static round's span records them as
+// skipped_hops.
 func (w *Walker) jumpAhead(limit int64) int64 {
-	at := w.jump
-	w.jump = walkPos{}
+	at, back := w.jump, w.back
+	w.jump, w.back = walkPos{}, walkPos{}
 	var skip int64
 	if at.index > 1 && (limit < 0 || limit >= at.index-1) {
 		fs, _ := w.r.flatSeq(w.cur.Bound)
 		// The stepper produced at on this snapshot, so Reset cannot refuse
 		// it; if it did, the round would walk from the entry as it stands.
 		if w.flat.Reset(w.r.flat, at.node, at.inPort, w.cur.Src, w.cur.Dst, fs, at.index, false, false) == nil {
+			w.flat.Inherit(back.node, back.inPort, back.index)
 			skip = at.index - 1
 			w.cur.RoundHops = skip
 			if limit > 0 {
@@ -676,8 +684,21 @@ func (w *Walker) openRound() {
 	if !w.sp.Recording() {
 		return
 	}
-	w.rsp = w.sp.Child(w.ns + ".round")
+	w.rsp = w.sp.Child(roundSpan(w.ns))
 	w.rsp.SetAttr(trace.Int("round", int64(w.cur.Rounds)), trace.Int("bound", int64(w.cur.Bound)))
+}
+
+// roundSpan returns ns + ".round", the name of a round's span, spelled out
+// for the two namespaces walks run under so that a sampled round does not
+// build it.
+func roundSpan(ns string) string {
+	switch ns {
+	case "route":
+		return "route.round"
+	case "dynamic":
+		return "dynamic.round"
+	}
+	return ns + ".round"
 }
 
 // fold moves the live stepper's hops and metering into the walk state,
@@ -707,7 +728,9 @@ func (w *Walker) closeRound(outcome netsim.Status) int64 {
 	w.res.Rounds = append(w.res.Rounds, RoundStat{Bound: w.cur.Bound, SeqLen: w.seqLen, Hops: hops, Outcome: outcome})
 	w.res.Bound = w.cur.Bound
 	if w.rsp.Recording() {
-		w.rsp.SetAttr(trace.Int("seq_len", int64(w.seqLen)), trace.Int("hops", hops),
+		// A round on the reference path never arms the flat stepper, which
+		// then reports 0.
+		w.rsp.SetAttr(trace.Int("seq_len", int64(w.seqLen)), trace.Int("hops", hops), trace.Int("computed_hops", w.flat.Computed()),
 			trace.Bool("success", outcome == netsim.StatusSuccess), trace.String("status", outcome.String()))
 		w.endSpan()
 		if w.ref != nil {
@@ -861,6 +884,7 @@ func (w *Walker) exhaust(reason ExhaustReason) {
 	w.res.Cursor, w.res.Exhausted, w.res.Bound = &c, reason, c.Bound
 	w.res.Hops, w.res.MaxHeaderBits, w.res.PeakMemoryBits = c.Hops+c.RoundHops, c.MaxHeaderBits, c.PeakMemoryBits
 	if w.rsp.Recording() {
+		w.rsp.SetAttr(trace.Int("computed_hops", 0))
 		w.rsp.Event(w.ns+".exhausted", trace.String("reason", string(reason)),
 			trace.Int("round_hops", c.RoundHops), trace.Int("index", c.Index))
 		w.endSpan()

@@ -212,14 +212,19 @@ func TestReplayLogBound(t *testing.T) {
 	}
 }
 
-// TestWalkerSkipsKnownSteps guards the two shortcuts that keep the walker
-// from simulating steps whose outcome is known, on route_long's network
+// TestWalkerSkipsKnownSteps guards the shortcuts that keep the walker from
+// simulating steps whose outcome is known, on route_long's network
 // (gen.UDG2D(1024, 0.06, 1), protocol seed 7) over the 64 pairs of the
 // engine's BenchmarkTracedLongRoute. Unsampled, no walk builds a closure
-// cover (the component index decides every check) and the last round's
-// stepper walks only what the round before it did not: its hops minus
-// the last round's sequence length. Sampled at ring 256, every round after
-// the first skips that same prefix, so the sampled walks simulate exactly
+// cover (the component index decides every check), the last round's
+// stepper counts only what the round before it did not walk (its hops
+// minus the last round's sequence length), and every round computes its
+// whole backward walk instead of walking it: the hops after its
+// turnaround, which are its hops minus its sequence length on a failed
+// round and minus the walk's forward steps on the delivering one. Sampled
+// at ring 256, every round after the first skips the same prefix and
+// every round computes the same backward walk, which its span reports as
+// skipped_hops and computed_hops, so the sampled walks simulate exactly
 // the unsampled steps. It counts steps, not time, so no machine's speed
 // can trip it.
 func TestWalkerSkipsKnownSteps(t *testing.T) {
@@ -227,7 +232,7 @@ func TestWalkerSkipsKnownSteps(t *testing.T) {
 	r := newRouter(t, gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})
 	tc := trace.New(trace.Config{SampleRate: 1, HopRing: ring})
 	src := prng.New(1)
-	var reported, closure, walked, sampled int64
+	var reported, skipped, computed, sampled int64
 	for range 64 {
 		s, d := graph.NodeID(src.Intn(n)), graph.NodeID(src.Intn(n))
 		if s == d || r.Certificate(s, d) != nil {
@@ -242,16 +247,28 @@ func TestWalkerSkipsKnownSteps(t *testing.T) {
 			t.Fatalf("%d->%d: built a closure cover the component index decides", s, d)
 		}
 		rounds := res.Rounds
-		if k := len(rounds); k > 1 {
-			if want := rounds[k-1].Hops - int64(rounds[k-2].SeqLen); w.flat.Hops() != want {
-				t.Fatalf("%d->%d: the last of %d rounds walked %d hops, want %d", s, d, k, w.flat.Hops(), want)
+		last := len(rounds) - 1
+		back := make([]int64, len(rounds)) // each round's hops after its turnaround
+		for k, rs := range rounds {
+			back[k] = rs.Hops - int64(rs.SeqLen)
+		}
+		if res.Status == netsim.StatusSuccess {
+			back[last] = rounds[last].Hops - res.ForwardSteps
+		}
+		if last > 0 {
+			if want := rounds[last].Hops - int64(rounds[last-1].SeqLen); w.flat.Hops() != want {
+				t.Fatalf("%d->%d: the last of %d rounds counted %d hops, want %d", s, d, last+1, w.flat.Hops(), want)
 			}
 		}
+		if got := w.flat.Computed(); got != back[last] {
+			t.Fatalf("%d->%d: the last of %d rounds computed %d backward hops, want %d", s, d, last+1, got, back[last])
+		}
 		reported += res.Hops
-		walked += res.Hops
-		for k := 1; k < len(rounds); k++ {
-			walked -= int64(rounds[k-1].SeqLen)
-			closure += int64(rounds[k-1].SeqLen)
+		for k := range rounds {
+			computed += back[k]
+			if k > 0 {
+				skipped += int64(rounds[k-1].SeqLen)
+			}
 		}
 
 		tr := tc.StartRequest("walk", "")
@@ -269,20 +286,30 @@ func TestWalkerSkipsKnownSteps(t *testing.T) {
 				continue
 			}
 			k, _ := sp.Attrs["round"].(int64)
-			skipped, ok := sp.Attrs["skipped_hops"].(int64)
+			skip, ok := sp.Attrs["skipped_hops"].(int64)
 			if !ok {
 				t.Fatalf("%d->%d sampled: round %d has no skipped_hops attribute", s, d, k)
 			}
 			if k > 1 {
-				if want := int64(rounds[k-2].SeqLen); skipped != want {
-					t.Fatalf("%d->%d sampled: round %d skipped %d hops, want %d", s, d, k, skipped, want)
+				if want := int64(rounds[k-2].SeqLen); skip != want {
+					t.Fatalf("%d->%d sampled: round %d skipped %d hops, want %d", s, d, k, skip, want)
 				}
 			}
-			sampled += sp.HopTotal - skipped
+			comp, ok := sp.Attrs["computed_hops"].(int64)
+			if !ok {
+				t.Fatalf("%d->%d sampled: round %d has no computed_hops attribute", s, d, k)
+			}
+			if want := back[k-1]; comp != want {
+				t.Fatalf("%d->%d sampled: round %d computed %d backward hops, want %d", s, d, k, comp, want)
+			}
+			sampled += sp.HopTotal - skip - comp
 		}
 	}
-	t.Logf("%d reported hops: %d steps walked unsampled (%d before the shortcuts, with %d closure-walk steps), %d sampled",
-		reported, walked, reported+closure, closure, sampled)
+	// Without the shortcuts, each failed round would also walk a closure
+	// cover as long as its sequence: as many steps as the next round skips.
+	walked := reported - skipped - computed
+	t.Logf("%d reported hops: %d steps simulated unsampled, %d sampled (%d before the shortcuts, %d skipped, %d computed)",
+		reported, walked, sampled, reported+skipped, skipped, computed)
 	if sampled != walked {
 		t.Fatalf("sampled walks simulated %d steps, unsampled ones %d", sampled, walked)
 	}
