@@ -92,7 +92,7 @@ func BenchmarkWalkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatWalkStep measures one exploration step on the compiled CSR
+// BenchmarkFlatWalkStep measures one exploration step on the compiled flat
 // snapshot with the inlined PRF oracle — the flat equivalent of
 // BenchmarkWalkStep's ues.Step + Sequence.At hop. The gap between the two
 // is the per-hop cost the flat walk core removes (map lookup, interface

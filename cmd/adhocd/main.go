@@ -287,7 +287,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 	fmt.Fprintf(out, "adhocd: compiled %s (%d nodes, %d links, %d reduced nodes)\n",
-		desc, g.NumNodes(), g.NumEdges(), eng.Reduced().Graph().NumNodes())
+		desc, g.NumNodes(), g.NumEdges(), eng.Reduced().Flat().NumNodes())
 	// Reject a typoed -slo before the server boots (newServer treats a
 	// binding failure as a wiring bug and panics).
 	if spec := resolveSLOSpec(*sloSpec); spec != "" {

@@ -674,7 +674,7 @@ func infoOf(id, desc string, eng *engine.Engine, compile time.Duration) networkI
 		Desc:         desc,
 		Nodes:        eng.Graph().NumNodes(),
 		Links:        eng.Graph().NumEdges(),
-		ReducedNodes: eng.Reduced().Graph().NumNodes(),
+		ReducedNodes: eng.Reduced().Flat().NumNodes(),
 		Workers:      eng.Workers(),
 		Seed:         eng.Config().Seed,
 		CompileMS:    float64(compile) / float64(time.Millisecond),

@@ -80,7 +80,7 @@ func buildObjectives(eng *engine.Engine, serverErrors slo.Source, spec string) (
 			}
 			// Resolve the compiled bound against the reduced network the
 			// walks actually traverse.
-			n := eng.Reduced().Graph().NumNodes()
+			n := eng.Reduced().Flat().NumNodes()
 			th := slo.HopThreshold(d.LogFactor, n)
 			obj.Threshold = th
 			obj.Unit = "hops"

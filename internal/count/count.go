@@ -91,10 +91,9 @@ type Result struct {
 // flat snapshot unless DisableFlat; ModeMessages executes real message
 // walks on the reference token engine.
 type Counter struct {
-	red  *degred.Reduced
-	work *graph.Graph
-	r    *route.Router
-	cfg  Config
+	red *degred.Reduced
+	r   *route.Router
+	cfg Config
 }
 
 // New builds a Counter for g, deriving the degree reduction. Callers that
@@ -120,7 +119,7 @@ func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Counter, 
 	if err != nil {
 		return nil, fmt.Errorf("count: %w", err)
 	}
-	return &Counter{red: red, work: red.Graph(), r: r, cfg: cfg}, nil
+	return &Counter{red: red, r: r, cfg: cfg}, nil
 }
 
 // Count runs Algorithm CountNodes(s) (§4).
@@ -131,7 +130,7 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 	}
 	maxBound := c.cfg.MaxBound
 	if maxBound <= 0 {
-		maxBound = 4 * c.work.NumNodes()
+		maxBound = 4 * c.red.Flat().NumNodes()
 	}
 	res := &Result{}
 	for bound := 2; ; bound *= 2 {
@@ -292,7 +291,7 @@ func (c *Counter) walkQuery(start graph.NodeID, seq ues.Sequence, i, peekPort in
 		Index:  1,
 	}
 	handler := &queryHandler{seq: seq, peekPort: peekPort, origin: start}
-	eng := netsim.NewEngine(c.work, handler, netsim.WithMemoryBudget(0))
+	eng := netsim.NewEngine(c.red.Graph(), handler, netsim.WithMemoryBudget(0))
 	out, err := eng.Run(start, 0, h, 2*int64(i)+8)
 	if out != nil {
 		res.Hops += out.Hops

@@ -40,7 +40,7 @@ func TestCountLocalExact(t *testing.T) {
 			if want := tt.g.NumNodes(); res.OriginalCount != want {
 				t.Fatalf("original count = %d, want %d", res.OriginalCount, want)
 			}
-			if want := c.work.NumNodes(); res.ReducedCount != want {
+			if want := c.red.Flat().NumNodes(); res.ReducedCount != want {
 				t.Fatalf("reduced count = %d, want %d", res.ReducedCount, want)
 			}
 			if res.Rounds < 1 || res.Bound < 2 {

@@ -56,7 +56,7 @@ func TestReducedCountMatchesReducedComponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		start, _ := c.red.Entry(0)
-		want := len(c.work.ComponentOf(start))
+		want := len(c.red.Graph().ComponentOf(start))
 		if res.ReducedCount != want {
 			t.Fatalf("seed %d: reduced count %d, oracle %d", seed, res.ReducedCount, want)
 		}

@@ -15,7 +15,7 @@ import (
 // removed edge's two endpoints. Gadget shape is a pure local function of
 // degree, so only the touched originals need re-gadgeting; every other
 // original keeps its gadget nodes, their IDs, and their port wiring, and
-// the CSR snapshot is rebuilt by flatgraph.Patch from the old one plus
+// the snapshot is rebuilt by flatgraph.Patch from the old one plus
 // O(diff) row rewrites. The result is port-preservingly isomorphic to a
 // fresh Reduce of the mutated graph, so walks, verdicts, hop counts, and
 // header bits are identical on either compile path.
@@ -26,7 +26,7 @@ var (
 	// full Reduce.
 	ErrDeltaTooLarge = errors.New("degred: delta touches too much of the graph")
 	// ErrDeltaUnusable means the delta cannot be interpreted against this
-	// base (unknown node, missing snapshot); callers fall back to a full
+	// base (an unknown node or edge endpoint); callers fall back to a full
 	// Reduce.
 	ErrDeltaUnusable = errors.New("degred: delta not applicable to this base")
 )
@@ -43,7 +43,7 @@ const deltaMaxFraction = 4
 // must have the same node set as the base (node insertions and removals
 // poison the journal upstream). The receiver is not modified — concurrent
 // walkers holding its snapshot are undisturbed — and the returned Reduced
-// is born with its CSR snapshot attached. The snapshot labels its
+// is born with its snapshot attached. The snapshot labels its
 // components on the first Components call, exactly as a full compile's
 // does, so a recompile no route starts on never pays for the labelling.
 //
@@ -53,10 +53,7 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 	if len(deltas) == 0 {
 		return r, nil // no topology change: the base is already current
 	}
-	flat := r.Flat()
-	if flat == nil || !flat.Regular3() {
-		return nil, fmt.Errorf("%w: base snapshot unavailable", ErrDeltaUnusable)
-	}
+	flat := r.flat
 	numOrig := len(r.origIDs)
 
 	// Touched originals: the delta endpoints, as dense indices.
@@ -197,44 +194,10 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		}
 	}
 
-	// Re-gadget each touched original: intra-gadget edges exactly as Reduce
-	// wires them (cycle / parallel pair / self-loop / theta), so a delta
-	// compile and a full compile are port-identical gadget by gadget.
+	// Re-gadget each touched original through the same wiring as Reduce, so
+	// a delta compile and a full compile are port-identical gadget by gadget.
 	for _, ix := range touched {
-		s := newSlots[ix]
-		d := cur.Degree(r.origIDs[ix])
-		switch {
-		case d >= 3:
-			g := func(i int) int32 { return int32(s[i]) }
-			setHalf(g(0), 0, flatgraph.Half32{To: g(1), Port: 0})
-			setHalf(g(0), 1, flatgraph.Half32{To: g(d - 1), Port: 1})
-			for i := 1; i <= d-2; i++ {
-				backPort := int32(1)
-				if i == 1 {
-					backPort = 0
-				}
-				setHalf(g(i), 0, flatgraph.Half32{To: g(i - 1), Port: backPort})
-				setHalf(g(i), 1, flatgraph.Half32{To: g(i + 1), Port: 0})
-			}
-			setHalf(g(d-1), 0, flatgraph.Half32{To: g(d - 2), Port: 1})
-			setHalf(g(d-1), 1, flatgraph.Half32{To: g(0), Port: 1})
-		case d == 2:
-			a, b := int32(s[0]), int32(s[1])
-			setHalf(a, 0, flatgraph.Half32{To: b, Port: 0})
-			setHalf(a, 1, flatgraph.Half32{To: b, Port: 1})
-			setHalf(b, 0, flatgraph.Half32{To: a, Port: 0})
-			setHalf(b, 1, flatgraph.Half32{To: a, Port: 1})
-		case d == 1:
-			a := int32(s[0])
-			setHalf(a, 0, flatgraph.Half32{To: a, Port: 1})
-			setHalf(a, 1, flatgraph.Half32{To: a, Port: 0})
-		default: // d == 0: theta
-			a, b := int32(s[0]), int32(s[1])
-			for p := int32(0); p < 3; p++ {
-				setHalf(a, p, flatgraph.Half32{To: b, Port: p})
-				setHalf(b, p, flatgraph.Half32{To: a, Port: p})
-			}
-		}
+		wire(newSlots[ix], cur.Degree(r.origIDs[ix]), setHalf)
 	}
 
 	// Original edges incident to touched nodes: rewrite both directions at

@@ -31,8 +31,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Reduced is a 3-regular multigraph G′ together with the bidirectional
-// mapping between gadget nodes and the original nodes they simulate.
+// Reduced is a 3-regular multigraph G′, held as its flat port-table
+// snapshot, together with the bidirectional mapping between gadget nodes
+// and the original nodes they simulate.
 //
 // Internally the mapping is array-based, indexed by dense gadget ID and
 // dense original index: delta compiles produce a new generation by copying
@@ -55,15 +56,13 @@ type Reduced struct {
 	origIDs []graph.NodeID
 	origIdx map[graph.NodeID]int32
 
-	// g is the reduced multigraph in mutable-graph form. A full Reduce
-	// builds it as a construction byproduct; a delta generation only
-	// materializes it from the CSR snapshot if a caller (the reference
-	// engine) actually asks.
+	// flat is G′ itself: the port table every walk runs on.
+	flat *flatgraph.Graph
+
+	// g is G′ in mutable-graph form, materialized from flat only when a
+	// caller (the reference engine, a local replay) asks for it.
 	gOnce sync.Once
 	g     *graph.Graph
-
-	flatOnce sync.Once
-	flat     *flatgraph.Graph
 }
 
 // gadgetSize returns the number of gadget nodes simulating an original node
@@ -81,132 +80,123 @@ func gadgetSize(d int) int {
 	}
 }
 
-// Reduce builds the 3-regular version of g. The input graph is not
-// modified. Gadget node IDs are assigned densely from 0 in the insertion
-// order of the original nodes.
+// wire writes the intra-gadget edges of an original node of degree d whose
+// gadget nodes are s, in cycle order, through set(node, port, far half):
+// a cycle on ports 0/1 for d ≥ 3, a parallel pair for d = 2, a self-loop
+// 0↔1 for d = 1, and a theta p↔p for d = 0. Every gadget node but a
+// theta's keeps port 2 for the original edge it owns. Reduce and ApplyDelta
+// both wire through it, so the two compile paths label every gadget alike.
+func wire(s []graph.NodeID, d int, set func(node, port int32, h flatgraph.Half32)) {
+	switch {
+	case d >= 3:
+		g := func(i int) int32 { return int32(s[i]) }
+		set(g(0), 0, flatgraph.Half32{To: g(1), Port: 0})
+		set(g(0), 1, flatgraph.Half32{To: g(d - 1), Port: 1})
+		for i := 1; i <= d-2; i++ {
+			backPort := int32(1)
+			if i == 1 {
+				backPort = 0
+			}
+			set(g(i), 0, flatgraph.Half32{To: g(i - 1), Port: backPort})
+			set(g(i), 1, flatgraph.Half32{To: g(i + 1), Port: 0})
+		}
+		set(g(d-1), 0, flatgraph.Half32{To: g(d - 2), Port: 1})
+		set(g(d-1), 1, flatgraph.Half32{To: g(0), Port: 1})
+	case d == 2:
+		a, b := int32(s[0]), int32(s[1])
+		set(a, 0, flatgraph.Half32{To: b, Port: 0})
+		set(a, 1, flatgraph.Half32{To: b, Port: 1})
+		set(b, 0, flatgraph.Half32{To: a, Port: 0})
+		set(b, 1, flatgraph.Half32{To: a, Port: 1})
+	case d == 1:
+		a := int32(s[0])
+		set(a, 0, flatgraph.Half32{To: a, Port: 1})
+		set(a, 1, flatgraph.Half32{To: a, Port: 0})
+	default: // d == 0: theta
+		a, b := int32(s[0]), int32(s[1])
+		for p := int32(0); p < 3; p++ {
+			set(a, p, flatgraph.Half32{To: b, Port: p})
+			set(b, p, flatgraph.Half32{To: a, Port: p})
+		}
+	}
+}
+
+// Reduce builds the 3-regular version of g, writing G′ straight into its
+// port-table snapshot. The input graph is not modified. Gadget node IDs
+// are assigned densely from 0 in the insertion order of the original
+// nodes. The table is checked once (flatgraph's CheckConsistent) before
+// Reduce returns it, so a construction bug is an error, never a wrong walk.
 func Reduce(g *graph.Graph) (*Reduced, error) {
-	numOrig := g.NumNodes()
+	ids := g.Nodes()
 	r := &Reduced{
-		g:       graph.New(),
-		slots:   make([][]graph.NodeID, numOrig),
-		origIDs: g.Nodes(),
-		origIdx: make(map[graph.NodeID]int32, numOrig),
+		slots:   make([][]graph.NodeID, len(ids)),
+		origIDs: ids,
+		origIdx: make(map[graph.NodeID]int32, len(ids)),
 	}
-	for i, id := range r.origIDs {
-		r.origIdx[id] = int32(i)
+	n := 0
+	for i, v := range ids {
+		r.origIdx[v] = int32(i)
+		n += gadgetSize(g.Degree(v))
 	}
-	fresh := func(ownerIx int32) graph.NodeID {
-		id := graph.NodeID(len(r.orig))
-		r.g.EnsureNode(id)
-		r.orig = append(r.orig, r.origIDs[ownerIx])
-		r.origIx = append(r.origIx, ownerIx)
-		r.slots[ownerIx] = append(r.slots[ownerIx], id)
-		return id
-	}
+	gadgets := make([]graph.NodeID, n) // backing array of every slot list
+	r.orig = make([]graph.NodeID, n)
+	r.origIx = make([]int32, n)
+	halves := make([]flatgraph.Half32, 3*n)
+	set := func(node, port int32, h flatgraph.Half32) { halves[node*3+port] = h }
 
-	// Phase 1: gadgets and intra-gadget edges.
-	var buildErr error
-	g.ForEachNode(func(v graph.NodeID) {
-		if buildErr != nil {
-			return
-		}
-		ix := r.origIdx[v]
+	// Gadgets and their intra-gadget edges.
+	next := 0
+	for i, v := range ids {
 		d := g.Degree(v)
-		switch {
-		case d >= 3:
-			first := fresh(ix)
-			prev := first
-			for i := 1; i < d; i++ {
-				cur := fresh(ix)
-				if _, _, err := r.g.AddEdge(prev, cur); err != nil {
-					buildErr = err
-					return
-				}
-				prev = cur
-			}
-			if _, _, err := r.g.AddEdge(prev, first); err != nil {
-				buildErr = err
-			}
-		case d == 2:
-			a, b := fresh(ix), fresh(ix)
-			for i := 0; i < 2; i++ {
-				if _, _, err := r.g.AddEdge(a, b); err != nil {
-					buildErr = err
-					return
-				}
-			}
-		case d == 1:
-			a := fresh(ix)
-			if _, _, err := r.g.AddEdge(a, a); err != nil {
-				buildErr = err
-			}
-		default: // d == 0
-			a, b := fresh(ix), fresh(ix)
-			for i := 0; i < 3; i++ {
-				if _, _, err := r.g.AddEdge(a, b); err != nil {
-					buildErr = err
-					return
-				}
-			}
+		end := next + gadgetSize(d)
+		s := gadgets[next:end:end]
+		for k := range s {
+			s[k] = graph.NodeID(next)
+			r.orig[next], r.origIx[next] = v, int32(i)
+			next++
 		}
-	})
-	if buildErr != nil {
-		return nil, fmt.Errorf("degred: gadget construction: %w", buildErr)
+		r.slots[i] = s
+		wire(s, d, set)
 	}
 
-	// Phase 2: original edges between port-owning gadget nodes. Each edge
-	// is added once, from the canonical endpoint.
-	g.ForEachNode(func(v graph.NodeID) {
-		if buildErr != nil {
-			return
-		}
-		for p := 0; p < g.Degree(v); p++ {
+	// Original edges, at port 2 of the gadget nodes that own their ports.
+	// Every original port is visited once, which writes each edge's two
+	// directions from its two ends.
+	for i, v := range ids {
+		s, d := r.slots[i], g.Degree(v)
+		for p := 0; p < d; p++ {
 			h, err := g.Neighbor(v, p)
 			if err != nil {
-				buildErr = err
-				return
+				return nil, fmt.Errorf("degred: edge wiring: %w", err)
 			}
-			if h.To < v || (h.To == v && h.ToPort < p) {
-				continue // already added from the other side
+			w, ok := r.origIdx[h.To]
+			if !ok {
+				return nil, fmt.Errorf("degred: edge wiring: port (%d,%d) leads to unknown node %d", v, p, h.To)
 			}
-			from := r.portOwner(v, p)
-			to := r.portOwner(h.To, h.ToPort)
-			if _, _, err := r.g.AddEdge(from, to); err != nil {
-				buildErr = err
-				return
-			}
+			ws := r.slots[w]
+			set(int32(s[p%len(s)]), 2, flatgraph.Half32{To: int32(ws[h.ToPort%len(ws)]), Port: 2})
 		}
-	})
-	if buildErr != nil {
-		return nil, fmt.Errorf("degred: edge wiring: %w", buildErr)
 	}
-	if err := r.g.Validate(); err != nil {
+	r.flat = flatgraph.New(halves, r.orig)
+	if err := r.flat.CheckConsistent(); err != nil {
 		return nil, fmt.Errorf("degred: %w", err)
-	}
-	if !r.g.IsRegular(3) {
-		return nil, fmt.Errorf("degred: result is not 3-regular (max degree %d)", r.g.MaxDegree())
 	}
 	return r, nil
 }
 
-// Graph returns the reduced 3-regular multigraph. Callers must treat it as
-// read-only. For a delta-compiled Reduced the graph is materialized from
-// the CSR snapshot on first use; full reductions have it from construction.
+// Graph returns G′ as a graph.Graph, for the reference engine and the
+// local replays that walk one; callers must treat it as read-only. It is
+// materialized from the snapshot on first use, for full and delta
+// reductions alike; nothing on the flat path asks for it.
 func (r *Reduced) Graph() *graph.Graph {
 	r.gOnce.Do(func() {
-		if r.g != nil {
-			return
-		}
 		f := r.flat
-		if f == nil {
-			return
-		}
 		n := f.NumNodes()
 		order := make([]graph.NodeID, n)
 		adj := make(map[graph.NodeID][]graph.Half, n)
 		for i := 0; i < n; i++ {
 			order[i] = graph.NodeID(i)
-			row := make([]graph.Half, f.Degree(int32(i)))
+			row := make([]graph.Half, 3)
 			for p := range row {
 				h := f.Half(int32(i), int32(p))
 				row[p] = graph.Half{To: graph.NodeID(h.To), ToPort: int(h.Port)}
@@ -220,30 +210,11 @@ func (r *Reduced) Graph() *graph.Graph {
 	return r.g
 }
 
-// Flat returns the compiled CSR snapshot of the reduced graph, including
-// the gadget-to-original projection — the shared hot-path artifact every
-// router and counter built from this reduction walks. It is built on first
-// use and memoized, so one reduction serves any number of engines with a
-// single snapshot; delta-compiled reductions are born with it. Flat returns
-// nil only if compilation fails, which a validated reduction cannot
-// provoke; callers treat nil as "use the reference engine".
-func (r *Reduced) Flat() *flatgraph.Graph {
-	r.flatOnce.Do(func() {
-		if r.flat != nil {
-			return
-		}
-		fg, err := flatgraph.Compile(r.g, func(v graph.NodeID) graph.NodeID {
-			if int(v) < len(r.orig) {
-				return r.orig[v]
-			}
-			return v
-		})
-		if err == nil {
-			r.flat = fg
-		}
-	})
-	return r.flat
-}
+// Flat returns the snapshot of G′, including the gadget-to-original
+// projection — the shared hot-path artifact every router and counter built
+// from this reduction walks. Every reduction is born with it, so one
+// reduction serves any number of engines with a single snapshot.
+func (r *Reduced) Flat() *flatgraph.Graph { return r.flat }
 
 // Original returns the original node simulated by gadget node v.
 func (r *Reduced) Original(v graph.NodeID) (graph.NodeID, bool) {
@@ -274,12 +245,4 @@ func (r *Reduced) Entry(v graph.NodeID) (graph.NodeID, bool) {
 		return 0, false
 	}
 	return r.slots[ix][0], true
-}
-
-// portOwner returns the gadget node owning the original port p of original
-// node v. Degree ≥ 3 gadgets own port i at slot i; degree-2 gadgets own one
-// port per slot; the degree-1 gadget owns its single port.
-func (r *Reduced) portOwner(v graph.NodeID, p int) graph.NodeID {
-	s := r.slots[r.origIdx[v]]
-	return s[p%len(s)]
 }

@@ -56,7 +56,7 @@ func BenchmarkDynamicRouteStatic(b *testing.B) {
 
 // BenchmarkEpochRecompile measures the per-epoch cost a topology change
 // actually incurs: one mutation plus the compile-cache miss (degree
-// reduction + flat CSR snapshot) on a 64-node torus.
+// reduction + flat snapshot) on a 64-node torus.
 func BenchmarkEpochRecompile(b *testing.B) {
 	w := NewWorld(gen.Torus(8, 8), nil)
 	if _, _, err := w.Compiled(); err != nil {

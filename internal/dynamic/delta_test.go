@@ -37,11 +37,11 @@ func structSig(t *testing.T, w *World) string {
 	comps := flat.Components()
 	lines := make([]string, 0, 4*flat.NumNodes())
 	for i := 0; i < flat.NumNodes(); i++ {
-		a := refs[flat.ID(int32(i))]
+		a := refs[graph.NodeID(i)]
 		lines = append(lines, fmt.Sprintf("%d.%d@c%d", a.orig, a.slot, comps.Of(int32(i))))
 		for p := int32(0); p < 3; p++ {
 			h := flat.Half(int32(i), p)
-			b := refs[flat.ID(h.To)]
+			b := refs[graph.NodeID(h.To)]
 			lines = append(lines, fmt.Sprintf("%d.%d:%d->%d.%d:%d", a.orig, a.slot, p, b.orig, b.slot, h.Port))
 		}
 	}

@@ -11,7 +11,7 @@
 //
 //   - a World owns a mutable port-labeled graph (plus optional node
 //     positions), an epoch clock, and a per-epoch compile cache of the
-//     Figure 1 degree reduction and its flat CSR snapshot;
+//     Figure 1 degree reduction and its flat snapshot;
 //   - Schedules mutate the world at epoch boundaries: Bernoulli edge
 //     churn, Markov on/off links, random-waypoint mobility that re-derives
 //     unit-disk (optionally Gabriel) edges from moving positions, and an

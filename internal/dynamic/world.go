@@ -100,7 +100,7 @@ func NewWorldFromCompiled(g *graph.Graph, red *degred.Reduced, sched Schedule) *
 	w := NewWorld(g, sched)
 	if red != nil {
 		w.red, w.flat = red, red.Flat()
-		w.compiledVersion, w.compiledOK = w.version, w.flat != nil
+		w.compiledVersion, w.compiledOK = w.version, true
 	}
 	return w
 }
@@ -228,7 +228,7 @@ func (w *World) Advance(p Probe) error {
 	return nil
 }
 
-// Compiled returns the degree reduction and flat CSR snapshot of the
+// Compiled returns the degree reduction and flat snapshot of the
 // current topology, rebuilding them only when the version changed since
 // the last call — the per-epoch compile cache. The rebuild happens under
 // the world lock, so concurrent routers blocked on the same stale version
@@ -238,7 +238,7 @@ func (w *World) Advance(p Probe) error {
 // A rebuild prefers the delta path: if the previous compile is intact and
 // the mutation journal is clean, the journaled edge deltas are replayed
 // through degred.ApplyDelta, re-gadgeting only the touched nodes and
-// patching the CSR snapshot in O(diff). Anything that poisons the journal
+// patching the flat snapshot in O(diff). Anything that poisons the journal
 // (overflow, node insertion, label shuffles) or trips the re-gadgeting
 // fraction guard falls back to a full O(graph) Reduce. Both paths produce
 // byte-for-byte identical routing behaviour; only the price differs.
@@ -279,15 +279,11 @@ func (w *World) compiled() (*degred.Reduced, *flatgraph.Graph, int, uint64, erro
 		}
 		red = r
 	}
-	flat := red.Flat()
-	if flat == nil {
-		return nil, nil, 0, 0, fmt.Errorf("dynamic: flat snapshot failed at version %d", w.version)
-	}
 	if j != nil {
 		j.Reset()
 	}
 	elapsed := time.Since(start)
-	w.red, w.flat = red, flat
+	w.red, w.flat = red, red.Flat()
 	w.compiledVersion, w.compiledOK = w.version, true
 	w.recompiles++
 	w.recompileTime += elapsed

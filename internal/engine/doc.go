@@ -5,7 +5,7 @@
 // Paper anchor: the engine packages the full pipeline of Braverman's "On
 // ad hoc routing with guaranteed delivery" (PODC 2008) behind one compile
 // step — the Figure 1 degree reduction (every node replaced by a cycle of
-// degree-3 gadgets), the port-labeled work graph G′ and its flat CSR
+// degree-3 gadgets), the port-labeled work graph G′ and its flat
 // snapshot, and the router and counter that walk it with the
 // exploration-sequence family T_n of §2 — Algorithm Route (§3) and
 // Algorithm CountNodes (§4). T_n needs no compile step: each round derives

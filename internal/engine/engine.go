@@ -99,11 +99,6 @@ func CompileWithReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Engin
 		return nil, errors.New("engine: nil reduction")
 	}
 	start := time.Now()
-	// Build the compiled CSR snapshot of G′ eagerly: the router, counter,
-	// and every query they serve share this one flat artifact, and serving
-	// should pay for its construction at compile time, not on the first
-	// query.
-	red.Flat()
 	e := &Engine{g: g, red: red, cfg: cfg, m: newMetrics()}
 	rcfg := e.routeConfig()
 	var err error
@@ -159,7 +154,7 @@ func (e *Engine) Reduced() *degred.Reduced { return e.red }
 func (e *Engine) Config() Config { return e.cfg }
 
 // CompileDuration returns the wall time Compile spent building this
-// engine (degree reduction, router, counter, flat CSR snapshot) — the
+// engine (degree reduction, router, counter, flat snapshot) — the
 // one-off cost every query amortizes.
 func (e *Engine) CompileDuration() time.Duration { return e.compileTime }
 

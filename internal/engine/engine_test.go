@@ -296,6 +296,28 @@ func TestKnownBound(t *testing.T) {
 	}
 }
 
+// TestCompileAllocsStayFlat guards the compile path against allocating per
+// node: degred.Reduce writes G′ straight into its port table and nothing
+// else builds G′ eagerly, so compiling a 64x64 grid allocates at most a
+// small constant more than compiling a 16x16 one. They measured 38 and 52
+// allocations when this test was written, and 3,740 and 60,930 when Reduce
+// built G′ as a graph.Graph edge by edge. The slack covers the map from
+// original node to dense index, whose table count grows with the node count.
+func TestCompileAllocsStayFlat(t *testing.T) {
+	allocs := func(side int) float64 {
+		g := gen.Grid(side, side)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Compile(g, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(64)
+	if large > small+32 {
+		t.Fatalf("Compile allocates %.0f times on a 64x64 grid, %.0f on a 16x16 one: more than 32 apart", large, small)
+	}
+}
+
 // TestCompileErrors checks constructor validation.
 func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(nil, Config{}); !errors.Is(err, ErrNoGraph) {

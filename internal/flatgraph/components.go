@@ -2,27 +2,27 @@ package flatgraph
 
 import "sort"
 
-// Connected components of the CSR snapshot, computed once and memoized on
-// the Graph (which is immutable after Compile, so the index never goes
-// stale). The walk of §4 can only ever reach nodes in the component of its
-// start, so two nodes in different components are provably mutually
-// unreachable: comparing their component ids answers in O(1) what the
-// doubling loop would otherwise establish by burning its entire budget.
+// Connected components of the snapshot, computed once and memoized on the
+// Graph (which never changes after New, so the index never goes stale).
+// The walk of §4 can only ever reach nodes in the component of its start,
+// so two nodes in different components are provably mutually unreachable:
+// comparing their component ids answers in O(1) what the doubling loop
+// would otherwise establish by burning its entire budget.
 
-// Components is an immutable node→component index over one compiled
-// snapshot. Component ids are canonical — components are ranked by the
-// smallest original NodeID they contain and numbered 0..Count()-1 in that
-// order. The ranking depends only on the projected original topology,
-// never on gadget numbering or dense-index layout, so a full compile and a
-// delta-patched compile of the same topology version assign identical ids
-// and certificates minted from either snapshot compare equal.
+// Components is an immutable node→component index over one snapshot.
+// Component ids are canonical — components are ranked by the smallest
+// original NodeID they contain and numbered 0..Count()-1 in that order.
+// The ranking depends only on the projected original topology, never on
+// gadget numbering, so a full reduction and a delta-patched one of the
+// same topology version assign identical ids and certificates minted from
+// either snapshot compare equal.
 type Components struct {
 	comp  []int32
 	sizes []int32
 }
 
 // Components returns the connected-component index of f, computing it on
-// first use. Safe for concurrent callers. Compiled and delta-patched
+// first use. Safe for concurrent callers. Reduced and delta-patched
 // snapshots alike start without an index, so a snapshot no caller asks
 // about never pays for the labelling.
 func (f *Graph) Components() *Components {
@@ -34,7 +34,7 @@ func (f *Graph) Components() *Components {
 // the half-edge table, then relabels components canonically by their
 // minimum original NodeID.
 func computeComponents(f *Graph) *Components {
-	n := len(f.ids)
+	n := f.NumNodes()
 	parent := make([]int32, n)
 	size := make([]int32, n)
 	for i := range parent {
@@ -49,8 +49,8 @@ func computeComponents(f *Graph) *Components {
 		return x
 	}
 	for i := 0; i < n; i++ {
-		for o := f.rowStart[i]; o < f.rowStart[i+1]; o++ {
-			a, b := find(int32(i)), find(f.halves[o].To)
+		for _, h := range f.halves[i*3 : i*3+3] {
+			a, b := find(int32(i)), find(h.To)
 			if a == b {
 				continue
 			}

@@ -1,6 +1,6 @@
-// Package flatgraph is the compiled hot path of the routing engine: a CSR
-// (compressed sparse row) snapshot of a port-labeled multigraph plus
-// allocation-free walk loops over it.
+// Package flatgraph is the compiled hot path of the routing engine: a flat
+// port-table snapshot of the degree-reduced graph G′ plus allocation-free
+// walk loops over it.
 //
 // Paper anchor: §2–§3. Every routing, broadcast, count, and hybrid query
 // ultimately reduces to millions of exploration-sequence hops — one
@@ -11,15 +11,16 @@
 // those hops. Braverman's walk rule is deliberately stateless per hop, so
 // the entire loop compiles to flat-array arithmetic:
 //
-//   - nodes get dense int32 indices; the port table is one flat []Half32
-//     indexed by rowStart[node]+port (stride 3 on the 3-regular reduced
-//     graph);
+//   - nodes are dense int32 indices, which are also their gadget IDs, and
+//     the port table is one flat []Half32 indexed by 3*node+port, since
+//     every node of G′ has degree 3. Package degred writes the table
+//     directly and New wraps it;
 //   - the PRF symbol derivation (ues.Symbol over prng.Mix64) is inlined via
 //     the concrete Seq value — no interface call. Seq is the protocol's one
 //     representation of T_bound: package route derives it for every round,
 //     and its reference path reads the same value as a ues.Sequence;
-//   - all bounds are validated once at Compile, so the hop loop carries no
-//     per-hop error values;
+//   - a reduction's table is validated once when degred.Reduce builds it
+//     (CheckConsistent), so the hop loop carries no per-hop error values;
 //   - the walkers optionally prefetch direction blocks so the sequence
 //     oracle is amortized across hops.
 //
@@ -37,11 +38,11 @@
 // round the component index does not decide, broadcast, and ModeLocal
 // counting round.
 //
-// Concurrency contract: a compiled Graph is immutable after Compile and
-// safe for any number of concurrent walkers — every walk loop works
-// exclusively on its caller's stack plus the shared read-only arrays. The
-// hop-granular RouteStepper holds per-walk state and is single-goroutine,
-// but any number of steppers may share one Graph.
+// Concurrency contract: a Graph is immutable after New and safe for any
+// number of concurrent walkers — every walk loop works exclusively on its
+// caller's stack plus the shared read-only arrays. The hop-granular
+// RouteStepper holds per-walk state and is single-goroutine, but any
+// number of steppers may share one Graph.
 //
 // The slow token engine remains the semantic reference: the walkers here
 // replicate its verdicts, hop counts, traces, and even its header-size

@@ -1,7 +1,6 @@
 package flatgraph
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -16,166 +15,72 @@ type Half32 struct {
 	Port int32
 }
 
-// Graph is an immutable CSR snapshot of a port-labeled multigraph together
-// with the projection back to the original nodes each snapshot node
-// simulates. All fields are read-only after Compile, so one Graph is safely
-// shared by any number of concurrent walkers.
+// Graph is an immutable snapshot of a degree-reduced graph G′: its
+// 3-regular port table together with the projection back to the original
+// nodes each snapshot node simulates. Node IDs are the dense indices
+// 0..NumNodes-1. The table and the projection never change after New, and
+// the component index is memoized under a sync.Once, so one Graph is
+// safely shared by any number of concurrent walkers.
 type Graph struct {
-	// rowStart[i] is the offset of node i's ports in halves; node i has
-	// degree rowStart[i+1]-rowStart[i].
-	rowStart []int32
-	// halves is the flat port table: halves[rowStart[i]+p] is the half-edge
-	// leaving node i through port p.
+	// halves is the flat port table: halves[3*i+p] is the half-edge leaving
+	// node i through port p.
 	halves []Half32
-	// ids maps dense index -> NodeID in the snapshotted graph.
-	ids []graph.NodeID
-	// orig maps dense index -> the original node it simulates (the gadget
-	// projection of degred; identity when the graph is not a reduction).
+	// orig maps node -> the original node it simulates (the gadget
+	// projection of degred).
 	orig []graph.NodeID
-	// idx is the reverse map NodeID -> dense index. It is nil when identIDs
-	// holds — the common case for degree-reduced graphs, whose gadget node
-	// IDs are assigned densely from 0, so index == ID and the map (the one
-	// O(n)-allocation-heavy part of a snapshot build) is never needed.
-	idx map[graph.NodeID]int32
-	// identIDs records that ids[i] == i for every node, making Index a
-	// bounds check instead of a map lookup.
-	identIDs bool
 	// memw caches, per node, the metering width of its two identity
-	// registers (wordBits(ids[i]) + wordBits(orig[i])) so the walkers'
+	// registers (wordBits(i) + wordBits(orig[i])) so the walkers'
 	// memory-metering replica costs one byte load per hop instead of two
 	// Len64 computations.
 	memw []uint8
-	// regular3 records that every node has degree exactly 3, which the walk
-	// loops rely on for stride addressing and branchless mod-3 steps.
-	regular3 bool
 	// compOnce/comps memoize the connected-component index (see
-	// components.go); computed lazily on first Components call, like the
-	// Flat memoization one layer up.
+	// components.go); computed lazily on first Components call.
 	compOnce sync.Once
 	comps    *Components
 }
 
-// ErrNilGraph is returned by Compile when given a nil graph.
-var ErrNilGraph = errors.New("flatgraph: nil graph")
-
-// Compile snapshots g into CSR form. originalOf projects each node to the
-// original node it simulates (pass nil for identity). The graph is fully
-// validated here — mutual half-edges, ports in range — so the walk loops
-// can drop all per-hop checks. g must not be mutated afterwards.
-func Compile(g *graph.Graph, originalOf func(graph.NodeID) graph.NodeID) (*Graph, error) {
-	if g == nil {
-		return nil, ErrNilGraph
+// New wraps a 3-regular port table as a snapshot and takes ownership of
+// both slices: halves[3*i+p] is the half-edge leaving node i through port
+// p, and orig[i] is the original node that node i simulates, so halves
+// must hold 3*len(orig) entries. New does not validate the table; a
+// builder that cannot vouch for its rows checks the result with
+// CheckConsistent before any walk runs on it.
+func New(halves []Half32, orig []graph.NodeID) *Graph {
+	memw := make([]uint8, len(orig))
+	for i, o := range orig {
+		memw[i] = uint8(wordBits(int64(i)) + wordBits(int64(o)))
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("flatgraph: %w", err)
-	}
-	n := g.NumNodes()
-	f := &Graph{
-		rowStart: make([]int32, n+1),
-		ids:      g.Nodes(),
-		orig:     make([]graph.NodeID, n),
-		regular3: true,
-		identIDs: true,
-	}
-	for i, id := range f.ids {
-		if id != graph.NodeID(i) {
-			f.identIDs = false
-			break
-		}
-	}
-	if !f.identIDs {
-		f.idx = make(map[graph.NodeID]int32, n)
-	}
-	f.memw = make([]uint8, n)
-	for i, id := range f.ids {
-		if f.idx != nil {
-			f.idx[id] = int32(i)
-		}
-		if originalOf != nil {
-			f.orig[i] = originalOf(id)
-		} else {
-			f.orig[i] = id
-		}
-		f.memw[i] = uint8(wordBits(int64(id)) + wordBits(int64(f.orig[i])))
-	}
-	total := int32(0)
-	for i, id := range f.ids {
-		f.rowStart[i] = total
-		d := g.Degree(id)
-		if d != 3 {
-			f.regular3 = false
-		}
-		total += int32(d)
-	}
-	f.rowStart[n] = total
-	f.halves = make([]Half32, total)
-	for i, id := range f.ids {
-		for p := 0; p < g.Degree(id); p++ {
-			h, err := g.Neighbor(id, p)
-			if err != nil {
-				return nil, fmt.Errorf("flatgraph: %w", err)
-			}
-			to, ok := f.Index(h.To)
-			if !ok {
-				return nil, fmt.Errorf("flatgraph: half-edge (%d,%d) targets unknown node %d", id, p, h.To)
-			}
-			f.halves[f.rowStart[i]+int32(p)] = Half32{To: to, Port: int32(h.ToPort)}
-		}
-	}
-	return f, nil
+	return &Graph{halves: halves, orig: orig, memw: memw}
 }
 
 // NumNodes returns the number of snapshot nodes.
-func (f *Graph) NumNodes() int { return len(f.ids) }
+func (f *Graph) NumNodes() int { return len(f.orig) }
 
-// Regular3 reports whether every node has degree exactly 3 (true for any
-// Figure 1 reduction); the walk loops require it.
-func (f *Graph) Regular3() bool { return f.regular3 }
-
-// Index returns the dense index of id and whether it is a snapshot node.
+// Index returns the dense index of id and whether it is a snapshot node:
+// gadget IDs are the dense indices themselves.
 func (f *Graph) Index(id graph.NodeID) (int32, bool) {
-	if f.identIDs {
-		if id < 0 || id >= graph.NodeID(len(f.ids)) {
-			return 0, false
-		}
-		return int32(id), true
+	if id < 0 || id >= graph.NodeID(len(f.orig)) {
+		return 0, false
 	}
-	i, ok := f.idx[id]
-	return i, ok
+	return int32(id), true
 }
-
-// ID returns the NodeID at dense index i.
-func (f *Graph) ID(i int32) graph.NodeID { return f.ids[i] }
 
 // OriginalOf returns the original node simulated by dense node i.
 func (f *Graph) OriginalOf(i int32) graph.NodeID { return f.orig[i] }
 
-// Degree returns the degree of dense node i.
-func (f *Graph) Degree(i int32) int32 { return f.rowStart[i+1] - f.rowStart[i] }
-
 // Half returns the half-edge leaving dense node i through port p.
-func (f *Graph) Half(i, p int32) Half32 { return f.halves[f.rowStart[i]+p] }
+func (f *Graph) Half(i, p int32) Half32 { return f.halves[i*3+p] }
 
 // Step performs one exploration hop from (node, inPort) with direction t:
-// leave through port (inPort + t) mod deg and return the far half-edge as
-// the next position. t must lie in [0, deg) — true for base-3 sequences on
-// the 3-regular reduced graph, where this is the whole per-hop work of the
-// paper's walk rule.
+// leave through port (inPort + t) mod 3 and return the far half-edge as the
+// next position. t must lie in [0, 3) — true for base-3 sequences — and
+// this is the whole per-hop work of the paper's walk rule.
 func (f *Graph) Step(node, inPort, t int32) (int32, int32) {
 	exit := inPort + t
-	if f.regular3 {
-		if exit >= 3 {
-			exit -= 3
-		}
-		h := f.halves[node*3+exit]
-		return h.To, h.Port
+	if exit >= 3 {
+		exit -= 3
 	}
-	row := f.rowStart[node]
-	deg := f.rowStart[node+1] - row
-	if exit >= deg {
-		exit -= deg
-	}
-	h := f.halves[row+exit]
+	h := f.halves[node*3+exit]
 	return h.To, h.Port
 }
 
@@ -187,8 +92,8 @@ func (f *Graph) Closed(visited []bool) bool {
 		if !visited[i] {
 			continue
 		}
-		for o := f.rowStart[i]; o < f.rowStart[i+1]; o++ {
-			if !visited[f.halves[o].To] {
+		for _, h := range f.halves[i*3 : i*3+3] {
+			if !visited[h.To] {
 				return false
 			}
 		}

@@ -10,83 +10,57 @@ import (
 	"repro/internal/ues"
 )
 
-// compileReduced reduces g and compiles the flat snapshot with the gadget
-// projection, the way production callers do.
+// compileReduced reduces g and returns the reduction with its snapshot,
+// the way production callers get one.
 func compileReduced(t *testing.T, g *graph.Graph) (*degred.Reduced, *flatgraph.Graph) {
 	t.Helper()
 	red, err := degred.Reduce(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := flatgraph.Compile(red.Graph(), func(v graph.NodeID) graph.NodeID {
-		o, ok := red.Original(v)
-		if !ok {
-			return v
-		}
-		return o
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return red, f
+	return red, red.Flat()
 }
 
+// TestCompileMirrorsGraph checks the snapshot against the graph.Graph the
+// reference engine walks: same nodes, degree 3 everywhere, the same
+// projection and the same half-edge at every port.
 func TestCompileMirrorsGraph(t *testing.T) {
 	g := gen.Grid(5, 4)
 	g.ShuffleLabels(3)
 	red, f := compileReduced(t, g)
 	rg := red.Graph()
+	if rg == nil {
+		t.Fatal("reduction did not materialize its graph")
+	}
 	if f.NumNodes() != rg.NumNodes() {
 		t.Fatalf("nodes: flat %d, graph %d", f.NumNodes(), rg.NumNodes())
 	}
-	if !f.Regular3() {
-		t.Fatal("reduced snapshot not 3-regular")
-	}
 	for _, id := range rg.Nodes() {
 		i, ok := f.Index(id)
-		if !ok {
-			t.Fatalf("node %d missing from snapshot", id)
+		if !ok || graph.NodeID(i) != id {
+			t.Fatalf("Index(%d) = %d, %v", id, i, ok)
 		}
-		if f.ID(i) != id {
-			t.Fatalf("ID(Index(%d)) = %d", id, f.ID(i))
-		}
-		if int(f.Degree(i)) != rg.Degree(id) {
-			t.Fatalf("degree of %d: flat %d, graph %d", id, f.Degree(i), rg.Degree(id))
+		if rg.Degree(id) != 3 {
+			t.Fatalf("degree of %d: graph %d, want 3", id, rg.Degree(id))
 		}
 		o, _ := red.Original(id)
 		if f.OriginalOf(i) != o {
 			t.Fatalf("original of %d: flat %d, reduction %d", id, f.OriginalOf(i), o)
 		}
-		for p := 0; p < rg.Degree(id); p++ {
+		for p := 0; p < 3; p++ {
 			want, err := rg.Neighbor(id, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := f.Half(i, int32(p))
-			if f.ID(got.To) != want.To || int(got.Port) != want.ToPort {
+			if graph.NodeID(got.To) != want.To || int(got.Port) != want.ToPort {
 				t.Fatalf("half (%d,%d): flat (%d,%d), graph (%d,%d)",
-					id, p, f.ID(got.To), got.Port, want.To, want.ToPort)
+					id, p, got.To, got.Port, want.To, want.ToPort)
 			}
 		}
 	}
-}
-
-func TestCompileNilAndIdentity(t *testing.T) {
-	if _, err := flatgraph.Compile(nil, nil); err == nil {
-		t.Fatal("nil graph did not error")
-	}
-	g := gen.Cycle(6)
-	f, err := flatgraph.Compile(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Regular3() {
-		t.Fatal("cycle reported 3-regular")
-	}
-	for i := int32(0); i < int32(f.NumNodes()); i++ {
-		if f.OriginalOf(i) != f.ID(i) {
-			t.Fatalf("identity projection broken at %d", i)
-		}
+	if _, ok := f.Index(graph.NodeID(f.NumNodes())); ok {
+		t.Fatal("Index accepted a node past the snapshot")
 	}
 }
 
@@ -107,9 +81,9 @@ func TestStepMatchesUES(t *testing.T) {
 			t.Fatal(err)
 		}
 		node, inPort = f.Step(node, inPort, int32(seq.At(i)))
-		if f.ID(node) != next.Node || int(inPort) != next.InPort {
+		if graph.NodeID(node) != next.Node || int(inPort) != next.InPort {
 			t.Fatalf("step %d: flat (%d,%d), reference (%d,%d)",
-				i, f.ID(node), inPort, next.Node, next.InPort)
+				i, node, inPort, next.Node, next.InPort)
 		}
 		pos = next
 	}
@@ -165,21 +139,21 @@ func TestCoverWalkAndClosed(t *testing.T) {
 	}
 }
 
+// TestWalkRejectsIrregular checks that the flat walks refuse a sequence
+// whose alphabet is not base 3: their mod-3 step would otherwise leave
+// through a port the 3-regular snapshot does not have.
 func TestWalkRejectsIrregular(t *testing.T) {
-	f, err := flatgraph.Compile(gen.Cycle(5), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := flatgraph.Seq{Seed: 1, Base: 3, Length: 100}
+	_, f := compileReduced(t, gen.Cycle(5))
+	seq := flatgraph.Seq{Seed: 1, Base: 0, Length: 100}
 	if _, err := f.RouteWalk(0, 0, 1, seq); err != flatgraph.ErrNotRegular {
-		t.Fatalf("RouteWalk on cycle: %v", err)
+		t.Fatalf("RouteWalk with a base-0 sequence: %v", err)
 	}
 	if _, err := f.CoverWalk(0, seq, make([]bool, f.NumNodes()), nil); err != flatgraph.ErrNotRegular {
-		t.Fatalf("CoverWalk on cycle: %v", err)
+		t.Fatalf("CoverWalk with a base-0 sequence: %v", err)
 	}
 	var st flatgraph.RouteStepper
 	if err := st.Reset(f, 0, 0, 0, 1, seq, 1, false, false); err != flatgraph.ErrNotRegular {
-		t.Fatalf("RouteStepper.Reset on cycle: %v", err)
+		t.Fatalf("RouteStepper.Reset with a base-0 sequence: %v", err)
 	}
 }
 

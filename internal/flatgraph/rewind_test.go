@@ -129,15 +129,15 @@ func TestRewindReplaysHops(t *testing.T) {
 			}
 			if k > 0 {
 				// The forward hop into stop k, undone by the reference inverse.
-				back, err := ues.StepBack(rg, ues.Position{Node: f.ID(s.node), InPort: int(s.inPort)}, seq.At(int(s.index-1)))
+				back, err := ues.StepBack(rg, ues.Position{Node: graph.NodeID(s.node), InPort: int(s.inPort)}, seq.At(int(s.index-1)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				prev := sk
 				prev.Rewind(1)
-				if node, inPort := prev.Position(); f.ID(node) != back.Node || int(inPort) != back.InPort {
+				if node, inPort := prev.Position(); graph.NodeID(node) != back.Node || int(inPort) != back.InPort {
 					t.Fatalf("dst %d stop %d: rewound to (%d,%d), ues.StepBack to (%d,%d)",
-						dst, k, f.ID(node), inPort, back.Node, back.InPort)
+						dst, k, node, inPort, back.Node, back.InPort)
 				}
 			}
 			if k == 0 || k%17 != 0 {

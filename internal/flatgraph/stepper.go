@@ -78,7 +78,7 @@ func (st *RouteStepper) Instrument(sink HopSink) { st.sink = sink }
 // the snapshot it was minted on or (re-entering at the canonical gadget of
 // the message's original node, in-port 0) on a recompiled one.
 func (st *RouteStepper) Reset(f *Graph, node, inPort int32, src, dst graph.NodeID, seq Seq, index int64, backward, success bool) error {
-	if !f.regular3 || seq.Base != 3 {
+	if seq.Base != 3 {
 		return ErrNotRegular
 	}
 	if node < 0 || int(node) >= f.NumNodes() {

@@ -11,10 +11,11 @@ import (
 // invariant violation, never a routing outcome — all bounds the hop loop
 // relies on are validated before it starts.
 var (
-	// ErrNotRegular means a walk was requested on a snapshot that is not
-	// 3-regular or with a sequence whose alphabet is not base 3; the flat
-	// loops rely on both for stride addressing and branchless mod-3 steps.
-	ErrNotRegular = errors.New("flatgraph: walk requires a 3-regular snapshot and a base-3 sequence")
+	// ErrNotRegular means a walk was requested with a sequence whose
+	// alphabet is not base 3. Every snapshot is 3-regular, and the flat
+	// loops step mod 3 without a branch on the direction's range, so a
+	// symbol of 3 or more would leave through a port that does not exist.
+	ErrNotRegular = errors.New("flatgraph: walk requires a base-3 sequence")
 	// ErrUnwound is the defensive guard on the backward loop: the reversed
 	// walk consumed its whole index budget without reaching a node of the
 	// source — impossible for a well-formed reduction, since the unwind
@@ -88,7 +89,7 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 // This is the local simulation behind route.Cover — the §4 closure check
 // and the counting walks — with no metering and no messages.
 func (f *Graph) CoverWalk(start int32, seq Seq, visited []bool, order []int32) ([]int32, error) {
-	if !f.regular3 || seq.Base != 3 {
+	if seq.Base != 3 {
 		return order, ErrNotRegular
 	}
 	var dirs [dirBlock]int8

@@ -24,7 +24,7 @@ func BenchmarkRegistryObtainHit(b *testing.B) {
 
 // BenchmarkRegistryObtainMiss is the cold path: every iteration names a
 // network the registry has never seen, paying the full generator + engine
-// compile (degree reduction, flat CSR snapshot) — what the cache and
+// compile (degree reduction, flat snapshot) — what the cache and
 // singleflight save every other request.
 func BenchmarkRegistryObtainMiss(b *testing.B) {
 	r := New(Config{Capacity: 2})

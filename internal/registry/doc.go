@@ -6,7 +6,7 @@
 // (Theorem 1 keeps every per-message register in the O(log n) header and
 // intermediate nodes memoryless), which is exactly the shape that serves
 // many tenants from shared artifacts. The expensive work — the Figure 1
-// degree reduction, the flat CSR snapshot, the §2 sequence family —
+// degree reduction, the flat snapshot, the §2 sequence family —
 // happens once per distinct network, and every subsequent query, from any
 // client, reads the immutable compiled state. The registry
 // operationalizes that amortization across networks: requests name a

@@ -79,7 +79,7 @@ func (c *Cover) Closed() (closed bool, probes int64, err error) {
 			return f.Closed(c.visited), 0, nil
 		}
 		for _, v := range c.order {
-			for j := int32(0); j < f.Degree(v); j++ {
+			for j := int32(0); j < 3; j++ {
 				probes++
 				if !c.visited[f.Half(v, j).To] {
 					return false, probes, nil

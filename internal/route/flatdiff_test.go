@@ -197,7 +197,7 @@ func TestFlatStepperMatchesReferenceTrace(t *testing.T) {
 			var got []activation
 			for {
 				node, inPort := st.Position()
-				got = append(got, activation{fast.flat.ID(node), int(inPort), st.Index()})
+				got = append(got, activation{graph.NodeID(node), int(inPort), st.Index()})
 				if st.Step() {
 					break
 				}

@@ -141,7 +141,7 @@ type Config struct {
 // reduction once; Route/Broadcast calls are independent and reusable.
 //
 // Two execution paths serve each query. The hot path walks the compiled
-// CSR snapshot of G′ (package flatgraph) in an allocation-free loop; the
+// snapshot of G′ (package flatgraph) in an allocation-free loop; the
 // reference path drives the stateless per-node handlers through the netsim
 // token engine. They are hop-for-hop identical (pinned by differential
 // tests); the reference runs whenever a configuration needs its
@@ -151,7 +151,7 @@ type Config struct {
 type Router struct {
 	orig *graph.Graph
 	red  *degred.Reduced  // nil iff cfg.NoDegreeReduction
-	flat *flatgraph.Graph // nil iff cfg.NoDegreeReduction (or disabled)
+	flat *flatgraph.Graph // red's snapshot; nil iff cfg.NoDegreeReduction
 	cfg  Config
 }
 

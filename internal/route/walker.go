@@ -684,21 +684,23 @@ func (w *Walker) openRound() {
 	if !w.sp.Recording() {
 		return
 	}
-	w.rsp = w.sp.Child(roundSpan(w.ns))
+	round, _ := walkNames(w.ns)
+	w.rsp = w.sp.Child(round)
 	w.rsp.SetAttr(trace.Int("round", int64(w.cur.Rounds)), trace.Int("bound", int64(w.cur.Bound)))
 }
 
-// roundSpan returns ns + ".round", the name of a round's span, spelled out
-// for the two namespaces walks run under so that a sampled round does not
-// build it.
-func roundSpan(ns string) string {
+// walkNames returns the names a sampled round records under namespace ns:
+// its span, ns + ".round", and the cover-check event of a failed round,
+// ns + ".cover_check". They are spelled out for the two namespaces walks
+// run under, so that a sampled round builds neither.
+func walkNames(ns string) (round, coverCheck string) {
 	switch ns {
 	case "route":
-		return "route.round"
+		return "route.round", "route.cover_check"
 	case "dynamic":
-		return "dynamic.round"
+		return "dynamic.round", "dynamic.cover_check"
 	}
-	return ns + ".round"
+	return ns + ".round", ns + ".cover_check"
 }
 
 // fold moves the live stepper's hops and metering into the walk state,
@@ -807,11 +809,12 @@ func (w *Walker) endRound() {
 		}
 		w.res.Rounds[len(w.res.Rounds)-1].Covered = closed
 		if w.sp.Recording() {
+			_, name := walkNames(w.ns)
 			bound, covered := trace.Int("bound", int64(w.cur.Bound)), trace.Bool("covered", closed)
 			if walked {
-				w.sp.Event(w.ns+".cover_check", bound, covered)
+				w.sp.Event(name, bound, covered)
 			} else {
-				w.sp.Event(w.ns+".cover_check", bound, covered, trace.Bool("walked", false))
+				w.sp.Event(name, bound, covered, trace.Bool("walked", false))
 			}
 		}
 		if closed {
