@@ -3,10 +3,12 @@ package degred
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/prng"
 )
@@ -49,6 +51,52 @@ func signature(t *testing.T, r *Reduced) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// generation is a deep copy of everything a reduction owns: every half of
+// its table, read one by one, its projection and its slot lists.
+type generation struct {
+	halves []flatgraph.Half32
+	orig   []graph.NodeID
+	origIx []int32
+	slots  [][]graph.NodeID
+}
+
+func copyGeneration(r *Reduced) generation {
+	f := r.Flat()
+	c := generation{
+		halves: make([]flatgraph.Half32, 0, 3*f.NumNodes()),
+		orig:   slices.Clone(r.orig),
+		origIx: slices.Clone(r.origIx),
+		slots:  make([][]graph.NodeID, len(r.slots)),
+	}
+	for i := int32(0); i < int32(f.NumNodes()); i++ {
+		for p := int32(0); p < 3; p++ {
+			c.halves = append(c.halves, f.Half(i, p))
+		}
+	}
+	for i, s := range r.slots {
+		c.slots[i] = slices.Clone(s)
+	}
+	return c
+}
+
+func (c generation) equal(d generation) bool {
+	return slices.Equal(c.halves, d.halves) && slices.Equal(c.orig, d.orig) &&
+		slices.Equal(c.origIx, d.origIx) && slices.EqualFunc(c.slots, d.slots, slices.Equal)
+}
+
+// applyDelta runs red.ApplyDelta and fails the test if the call changed
+// its receiver: walkers may still hold the base's snapshot, so a delta
+// compile must edit copies.
+func applyDelta(t *testing.T, red *Reduced, g *graph.Graph, deltas []graph.Delta) (*Reduced, error) {
+	t.Helper()
+	before := copyGeneration(red)
+	next, err := red.ApplyDelta(g, deltas)
+	if !copyGeneration(red).equal(before) {
+		t.Fatal("ApplyDelta changed its receiver's table, projection or slot lists")
+	}
+	return next, err
 }
 
 // checkParity asserts that got (a delta compile) is indistinguishable from
@@ -143,7 +191,8 @@ func mutateOnce(t *testing.T, g *graph.Graph, src *prng.Source, n int) {
 // TestApplyDeltaMatchesReduce chains many delta generations over a churning
 // graph and checks each against a from-scratch reduction: identical
 // structure (up to the gadget-ID isomorphism), identical canonical
-// component ids and sizes, and a valid 3-regular materialized graph. The
+// component ids and sizes, and a valid 3-regular materialized graph. Every
+// base must come out of its ApplyDelta call unchanged. The
 // small node count keeps degree transitions (0↔1↔2↔3↔more), splits,
 // merges, and gadget-ID relocation all in constant rotation.
 func TestApplyDeltaMatchesReduce(t *testing.T) {
@@ -167,7 +216,7 @@ func TestApplyDeltaMatchesReduce(t *testing.T) {
 				if j.Dirty() {
 					t.Fatalf("gen %d: journal unexpectedly dirty: %s", gen, j.DirtyReason())
 				}
-				next, err := red.ApplyDelta(g, j.Peek())
+				next, err := applyDelta(t, red, g, j.Peek())
 				if errors.Is(err, ErrDeltaTooLarge) {
 					next, err = Reduce(g)
 				} else if err == nil {
@@ -215,6 +264,14 @@ func TestApplyDeltaFallbacks(t *testing.T) {
 			t.Fatalf("got %v, want ErrDeltaUnusable", err)
 		}
 	})
+	t.Run("absent-from-current", func(t *testing.T) {
+		cur := seedGraph(t, src, 11, 0) // lacks node 11, which the base knows
+		deltas := []graph.Delta{{Op: graph.DeltaAdd, U: 11, V: 0}}
+		_, err := red.ApplyDelta(cur, deltas)
+		if !errors.Is(err, ErrDeltaUnusable) || !strings.Contains(err.Error(), "absent from current graph") {
+			t.Fatalf("got %v, want ErrDeltaUnusable for a node absent from the current graph", err)
+		}
+	})
 	t.Run("empty-delta-is-identity", func(t *testing.T) {
 		got, err := red.ApplyDelta(g, nil)
 		if err != nil || got != red {
@@ -225,7 +282,8 @@ func TestApplyDeltaFallbacks(t *testing.T) {
 
 // FuzzApplyDelta drives random journal/apply sequences from fuzzer-chosen
 // bytes: each byte picks a mutation, every few mutations the journal is
-// drained through ApplyDelta, and the result must match a fresh Reduce.
+// drained through ApplyDelta, the result must match a fresh Reduce, and
+// the base must be left unchanged.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x90, 0x17, 0xfe, 0x33, 0x08, 0x77})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xab, 0xcd})
@@ -255,7 +313,7 @@ func FuzzApplyDelta(f *testing.F) {
 			if i%3 != 2 && i != len(data)-1 {
 				continue
 			}
-			next, err := red.ApplyDelta(g, j.Peek())
+			next, err := applyDelta(t, red, g, j.Peek())
 			if errors.Is(err, ErrDeltaTooLarge) {
 				next, err = Reduce(g)
 			}

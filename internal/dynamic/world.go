@@ -57,7 +57,6 @@ type World struct {
 	compiledVersion uint64
 	compiledOK      bool
 	red             *degred.Reduced
-	flat            *flatgraph.Graph
 	recompiles      int64
 	cacheHits       int64
 	recompileTime   time.Duration
@@ -99,7 +98,7 @@ func NewWorld(g *graph.Graph, sched Schedule) *World {
 func NewWorldFromCompiled(g *graph.Graph, red *degred.Reduced, sched Schedule) *World {
 	w := NewWorld(g, sched)
 	if red != nil {
-		w.red, w.flat = red, red.Flat()
+		w.red = red
 		w.compiledVersion, w.compiledOK = w.version, true
 	}
 	return w
@@ -237,11 +236,12 @@ func (w *World) Advance(p Probe) error {
 //
 // A rebuild prefers the delta path: if the previous compile is intact and
 // the mutation journal is clean, the journaled edge deltas are replayed
-// through degred.ApplyDelta, re-gadgeting only the touched nodes and
-// patching the flat snapshot in O(diff). Anything that poisons the journal
-// (overflow, node insertion, label shuffles) or trips the re-gadgeting
-// fraction guard falls back to a full O(graph) Reduce. Both paths produce
-// byte-for-byte identical routing behaviour; only the price differs.
+// through degred.ApplyDelta, which re-gadgets only the touched nodes with
+// O(diff) row writes into an O(graph) copy of the snapshot's table.
+// Anything that poisons the journal (overflow, node insertion, label
+// shuffles) or trips the re-gadgeting fraction guard falls back to a full
+// O(graph) Reduce. Both paths produce byte-for-byte identical routing
+// behaviour; only the price differs.
 func (w *World) Compiled() (*degred.Reduced, *flatgraph.Graph, error) {
 	red, flat, _, _, err := w.compiled()
 	return red, flat, err
@@ -256,7 +256,7 @@ func (w *World) compiled() (*degred.Reduced, *flatgraph.Graph, int, uint64, erro
 	defer w.mu.Unlock()
 	if w.compiledOK && w.compiledVersion == w.version {
 		w.cacheHits++
-		return w.red, w.flat, w.epoch, w.version, nil
+		return w.red, w.red.Flat(), w.epoch, w.version, nil
 	}
 	if err := w.chaos.Load().CompileFault(); err != nil {
 		// The journal is NOT drained on an injected fault: the deltas are
@@ -283,7 +283,7 @@ func (w *World) compiled() (*degred.Reduced, *flatgraph.Graph, int, uint64, erro
 		j.Reset()
 	}
 	elapsed := time.Since(start)
-	w.red, w.flat = red, red.Flat()
+	w.red = red
 	w.compiledVersion, w.compiledOK = w.version, true
 	w.recompiles++
 	w.recompileTime += elapsed
@@ -297,7 +297,7 @@ func (w *World) compiled() (*degred.Reduced, *flatgraph.Graph, int, uint64, erro
 	if w.recompObs != nil {
 		w.recompObs(path, w.version, elapsed)
 	}
-	return w.red, w.flat, w.epoch, w.version, nil
+	return w.red, w.red.Flat(), w.epoch, w.version, nil
 }
 
 // SetRecompileObserver installs fn to be called on every actual rebuild

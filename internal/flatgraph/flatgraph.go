@@ -53,6 +53,42 @@ func New(halves []Half32, orig []graph.NodeID) *Graph {
 	return &Graph{halves: halves, orig: orig, memw: memw}
 }
 
+// Table returns a fresh copy of the port table resized to n nodes: rows
+// past the snapshot's node count are zero and rows past n are dropped.
+// degred.ApplyDelta edits the copy into the next generation and wraps it
+// with New; the receiver never changes, so walkers holding it are
+// undisturbed.
+func (f *Graph) Table(n int) []Half32 {
+	halves := make([]Half32, 3*n)
+	copy(halves, f.halves)
+	return halves
+}
+
+// CheckConsistent validates the snapshot's structural invariants: a port
+// table of exactly three halves per node, every half in range and mutual.
+// degred.Reduce runs it once on every table it builds, so a construction
+// bug is an error rather than a wrong walk; ApplyDelta skips it, since
+// checking every row would cost the delta path what it saves, and the
+// delta-compile fuzzers and differential tests call it instead.
+func (f *Graph) CheckConsistent() error {
+	n := f.NumNodes()
+	if len(f.halves) != n*3 {
+		return fmt.Errorf("flatgraph: %d halves for %d nodes", len(f.halves), n)
+	}
+	for i, h := range f.halves {
+		node, port := i/3, i%3
+		if h.To < 0 || int(h.To) >= n || h.Port < 0 || h.Port > 2 {
+			return fmt.Errorf("flatgraph: half (%d,%d) targets (%d,%d) outside %d nodes of degree 3",
+				node, port, h.To, h.Port, n)
+		}
+		if back := f.halves[h.To*3+h.Port]; int(back.To) != node || int(back.Port) != port {
+			return fmt.Errorf("flatgraph: half (%d,%d)->(%d,%d) not mutual: reverse is (%d,%d)",
+				node, port, h.To, h.Port, back.To, back.Port)
+		}
+	}
+	return nil
+}
+
 // NumNodes returns the number of snapshot nodes.
 func (f *Graph) NumNodes() int { return len(f.orig) }
 

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -135,5 +137,59 @@ func TestPathAblationMode(t *testing.T) {
 		if !g.HasEdge(path[i-1], path[i]) {
 			t.Fatalf("non-edge in path: (%d,%d)", path[i-1], path[i])
 		}
+	}
+}
+
+// TestPathOfReplaysFlat checks the path replay on the flat snapshot: it
+// reconstructs the same paths as the reference replay on the work graph
+// (DisableFlat), and a first RouteWithPath on a 64x64 grid materializes
+// no G′ graph, which costs tens of thousands of allocations.
+func TestPathOfReplaysFlat(t *testing.T) {
+	udg := gen.UDG2D(200, 0.15, 4).G
+	tests := []struct {
+		name string
+		g    *graph.Graph
+		s    graph.NodeID
+		ds   []graph.NodeID
+	}{
+		{name: "path", g: gen.Path(8), s: 0, ds: []graph.NodeID{7}},
+		{name: "grid", g: gen.Grid(4, 5), s: 0, ds: []graph.NodeID{15, 19}},
+		{name: "petersen", g: gen.Petersen(), s: 1, ds: []graph.NodeID{8}},
+		{name: "udg", g: udg, s: 0, ds: []graph.NodeID{17, 99, 150, 199}},
+	}
+	for _, tt := range tests {
+		flat := newRouter(t, tt.g, Config{Seed: 7})
+		ref := newRouter(t, tt.g, Config{Seed: 7, DisableFlat: true})
+		if !flat.flatPath() || ref.flatPath() {
+			t.Fatalf("%s: flat router runs flat %v, reference %v", tt.name, flat.flatPath(), ref.flatPath())
+		}
+		for _, d := range tt.ds {
+			_, got, err := flat.RouteWithPath(tt.s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want, err := ref.RouteWithPath(tt.s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %d->%d: flat path %v, reference path %v", tt.name, tt.s, d, got, want)
+			}
+		}
+	}
+
+	r := newRouter(t, gen.Grid(64, 64), Config{Seed: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, path, err := r.RouteWithPath(0, 4095)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != netsim.StatusSuccess || path[len(path)-1] != 4095 {
+		t.Fatalf("64x64 grid: status %v, path ends at %d", res.Status, path[len(path)-1])
+	}
+	if n := after.Mallocs - before.Mallocs; n > 200 {
+		t.Fatalf("first RouteWithPath on a 64x64 grid allocated %d times, want at most 200", n)
 	}
 }
