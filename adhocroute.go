@@ -273,15 +273,7 @@ func (nw *Network) Route(s, t NodeID, opts ...Option) (*RouteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RouteResult{
-		Status:         Status(res.Status),
-		Hops:           res.Hops,
-		ForwardSteps:   res.ForwardSteps,
-		Rounds:         len(res.Rounds),
-		Bound:          res.Bound,
-		HeaderBits:     res.MaxHeaderBits,
-		NodeMemoryBits: res.PeakMemoryBits,
-	}, nil
+	return publicRouteResult(res), nil
 }
 
 // RouteWithPath routes s→t and additionally returns, on success, the
@@ -297,23 +289,7 @@ func (nw *Network) RouteWithPath(s, t NodeID, opts ...Option) (*RouteResult, []N
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &RouteResult{
-		Status:         Status(res.Status),
-		Hops:           res.Hops,
-		ForwardSteps:   res.ForwardSteps,
-		Rounds:         len(res.Rounds),
-		Bound:          res.Bound,
-		HeaderBits:     res.MaxHeaderBits,
-		NodeMemoryBits: res.PeakMemoryBits,
-	}
-	if path == nil {
-		return out, nil, nil
-	}
-	pub := make([]NodeID, len(path))
-	for i, v := range path {
-		pub[i] = NodeID(v)
-	}
-	return out, pub, nil
+	return publicRouteResult(res), publicNodes(path), nil
 }
 
 // BroadcastResult reports a Broadcast call.
@@ -340,16 +316,7 @@ func (nw *Network) Broadcast(s NodeID, opts ...Option) (*BroadcastResult, error)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]NodeID, len(res.Nodes))
-	for i, v := range res.Nodes {
-		nodes[i] = NodeID(v)
-	}
-	return &BroadcastResult{
-		Reached: res.Reached,
-		Nodes:   nodes,
-		Hops:    res.Hops,
-		Rounds:  len(res.Rounds),
-	}, nil
+	return publicBroadcastResult(res), nil
 }
 
 // CountResult reports a CountComponent call.
@@ -381,12 +348,7 @@ func (nw *Network) CountComponent(s NodeID, opts ...Option) (*CountResult, error
 	if err != nil {
 		return nil, err
 	}
-	return &CountResult{
-		Count:        res.OriginalCount,
-		ReducedCount: res.ReducedCount,
-		Rounds:       res.Rounds,
-		MessageHops:  res.Hops,
-	}, nil
+	return publicCountResult(res), nil
 }
 
 // HybridResult reports a RouteHybrid call.
@@ -414,15 +376,12 @@ func (nw *Network) RouteHybrid(s, t NodeID, opts ...Option) (*HybridResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return &HybridResult{
-		Status:        Status(res.Status),
-		Winner:        res.Winner,
-		CombinedSteps: res.CombinedSteps,
-	}, nil
+	return publicHybridResult(res), nil
 }
 
 // statusMirror documents (and api_test.go verifies) that the public Status
-// values mirror netsim's, so the conversions above are value-preserving.
+// values mirror netsim's, so the conversions in router.go are
+// value-preserving.
 const statusMirror = Status(netsim.StatusSuccess) == StatusSuccess &&
 	Status(netsim.StatusFailure) == StatusFailure &&
 	Status(netsim.StatusNone) == StatusNone

@@ -13,12 +13,12 @@ import (
 )
 
 // Trace serving defaults (flag-tunable). The daemon head-samples every
-// request by default: a sampled walk round records no hop as it walks, and
-// when it ends rewinds its stepper by at most one hop ring and re-walks
-// that ring (256 hops each way at the default ring) to fill its tail,
-// however long the walk ran. The flight recorder
-// retains only the slow and failed traces, so steady-state traffic costs
-// span bookkeeping and tail replays but no retention.
+// request by default: a sampled walk round records no hop as it walks and
+// hands its span a copy of its stepper when it ends. The flight recorder
+// retains only the slow and failed traces, and only those rebuild their
+// hop tails, each round rewinding its copy by at most one hop ring and
+// re-walking that ring (256 hops each way at the default ring) however
+// long the walk ran; steady-state traffic costs span bookkeeping only.
 const (
 	defaultTraceSample   = 1.0
 	defaultTraceSlow     = 100 * time.Millisecond
@@ -157,7 +157,7 @@ func (s *server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceGet serves one retained trace in full: the span tree with
-// attributes, timed events, and the per-hop tail ring.
+// attributes, timed events, and each walk round's per-hop tail.
 func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")
 	id, err := trace.ParseTraceID(raw)

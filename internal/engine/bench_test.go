@@ -203,9 +203,10 @@ func BenchmarkArmedUnsampledSharedWorldRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkTracedSharedWorldRoute prices the fully sampled traced query —
-// span bookkeeping plus each round's replayed hop tail — as documentation
-// of what a sampled request costs relative to the unsampled baseline.
+// BenchmarkTracedSharedWorldRoute prices the fully sampled traced query
+// whose trace is dropped — span bookkeeping and each round's replay log,
+// but no hop tail, which only a kept trace replays — as documentation of
+// what a sampled request costs relative to the unsampled baseline.
 func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 	e, err := Compile(gen.Torus(5, 5), Config{Seed: 3})
 	if err != nil {
@@ -239,14 +240,13 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 // simulated: each round after the first starts where the last one turned
 // around, every round computes its backward walk at its turnaround instead
 // of walking it, sampled or not, and no closure check walks (route's
-// TestWalkerSkipsKnownSteps counts the skipped and computed steps). A
-// sampled round still re-walks its last ring of hops into its span, a
-// larger share of the work now that the walk back is not simulated.
+// TestWalkerSkipsKnownSteps counts the skipped and computed steps).
 // untraced routes through Engine.RouteBudgeted with a background context;
 // traced opens a fresh trace per query as adhocd does at its defaults
-// (sample rate 1, 100ms retention), so its round spans pay for their hop
-// tails. CI fails when traced exceeds 1.5x untraced; run it at -benchtime
-// 64x, one pass over the pairs.
+// (sample rate 1, 100ms retention). No query here runs 100ms, so Finish
+// drops every trace and no round replays its hop tail: traced prices span
+// bookkeeping and the replay logs. CI fails when traced exceeds 1.5x
+// untraced; run it at -benchtime 64x, one pass over the pairs.
 func BenchmarkTracedLongRoute(b *testing.B) {
 	const n = 1024
 	e, err := Compile(gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})

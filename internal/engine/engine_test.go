@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/route"
+	"repro/internal/trace"
 )
 
 func mustCompile(t *testing.T, g *graph.Graph, cfg Config) *Engine {
@@ -315,6 +316,38 @@ func TestCompileAllocsStayFlat(t *testing.T) {
 	small, large := allocs(16), allocs(64)
 	if large > small+32 {
 		t.Fatalf("Compile allocates %.0f times on a 64x64 grid, %.0f on a 16x16 one: more than 32 apart", large, small)
+	}
+}
+
+// TestDroppedTraceSkipsHopTail guards that a sampled request whose trace
+// Finish drops pays for no hop tail. On route_short's network (an 8x8 grid
+// at protocol seed 7), a route from 0 to 63 traced at SlowThreshold −1,
+// which keeps no clean trace, must allocate less per query than one hop
+// ring of trace.DefaultHopRing 32-byte HopEvents. The route walks two
+// rounds; when each sampled round replayed its tail into a ring as it
+// ended, the query allocated about 22 KB.
+func TestDroppedTraceSkipsHopTail(t *testing.T) {
+	const ringBytes = trace.DefaultHopRing * 32
+	e := mustCompile(t, gen.Grid(8, 8), Config{Seed: 7})
+	tc := trace.New(trace.Config{SampleRate: 1, SlowThreshold: -1})
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			tr := tc.StartRequest("http", "")
+			if _, err := e.RouteBudgeted(trace.NewContext(context.Background(), tr.Root()), 0, 63, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+			tr.Finish()
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("the traced route failed")
+	}
+	if got := res.AllocedBytesPerOp(); got >= ringBytes {
+		t.Fatalf("a dropped traced query allocated %d B, not less than one hop ring (%d B)", got, ringBytes)
+	}
+	if kept := tc.Recorder().Kept(); kept != 0 {
+		t.Fatalf("the tracer kept %d clean traces at SlowThreshold -1", kept)
 	}
 }
 

@@ -70,18 +70,19 @@ type Walker struct {
 	bounded bool   // a budget, deadline, or cursor is in play: rounds must run flat
 	cover   *Cover // the last closure check's walk, for Broadcast
 	sp, rsp *trace.Span
-	log     *hopLog // the sampled round's replay log (nil until a sampled walk enters the flat path)
+	log     *hopLog // the live sampled round's replay log (nil until the round enters the flat path)
 	done    bool
 	err     error
 }
 
 // hopLog is a sampled round's replay log. Exploration sequences are
 // reversible (§2, prev_v), so a sampled round walks exactly as an unsampled
-// one and records no hop as it walks it: when the round's span ends, replay
-// rewinds a copy of the stepper by the last ring of hops and re-walks them
-// into the span. A re-entry moves the message to another snapshot, and a
-// rewind cannot cross it, so the log keeps the stepper each time the round
-// leaves a snapshot; each copy carries its own immutable snapshot.
+// one and records no hop as it walks it. When the round's span ends, the
+// span takes the log (trace.Span.Tail); only if the trace is kept does
+// replay rewind a copy of the stepper by the last ring of hops and re-walk
+// them. A re-entry moves the message to another snapshot, and a rewind
+// cannot cross it, so the log keeps the stepper each time the round leaves
+// a snapshot; each copy carries its own immutable snapshot.
 type hopLog struct {
 	ring  int64                    // the span's hop ring capacity
 	total int64                    // hops the round's span counts, skipped ones included
@@ -115,20 +116,15 @@ func (l *hopLog) leave(st *flatgraph.RouteStepper) {
 	l.parts = l.parts[:n]
 }
 
-// replay records the round's hop evidence into sp: it counts the hops
-// older than the last ring, rewinds copies of the newest steppers the last
-// ring reaches — the oldest of them by whatever hops remain, past where it
-// was armed if the round skipped them — and re-walks the ring from them
-// with the span's sink attached. It then empties the log for the next
-// round.
-func (l *hopLog) replay(sp *trace.Span, live *flatgraph.RouteStepper, s, t graph.NodeID) {
-	if l.live {
-		l.parts = append(l.parts, *live)
-	}
+// replay emits the round's last ring of hops into hop, oldest first: it
+// rewinds the newest steppers the last ring reaches — the oldest of them by
+// whatever hops remain, past where it was armed if the round skipped them —
+// and re-walks the ring from them with a sink attached. It consumes the
+// log.
+func (l *hopLog) replay(hop func(trace.HopEvent), s, t graph.NodeID) {
 	emit := min(l.total, l.ring)
-	sp.SkipHops(l.total - emit)
 	sink := func(node graph.NodeID, index int64, backward bool) {
-		sp.Hop(trace.HopEvent{
+		hop(trace.HopEvent{
 			Node:       int64(node),
 			Index:      index,
 			HeaderBits: int32(headerBits(s, t, index)),
@@ -150,8 +146,6 @@ func (l *hopLog) replay(sp *trace.Span, live *flatgraph.RouteStepper, s, t graph
 		st.Instrument(sink)
 		st.Run(n)
 	}
-	clear(l.parts)
-	l.parts, l.total, l.live = l.parts[:0], 0, false
 }
 
 // nextBound is the §3 doubling schedule, the only place it is computed: the
@@ -670,11 +664,17 @@ func headerBits(s, t graph.NodeID, index int64) int {
 	return netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: index}.Bits()
 }
 
-// endSpan closes the live round's span, replaying the round's hop tail into
-// it first.
+// endSpan closes the live round's span and hands it the round's replay
+// log, with a copy of the live stepper when it walks the round; the next
+// sampled round starts a log of its own.
 func (w *Walker) endSpan() {
-	if w.log != nil {
-		w.log.replay(w.rsp, &w.flat, w.cur.Src, w.cur.Dst)
+	if l := w.log; l != nil {
+		if l.live {
+			l.parts = append(l.parts, w.flat)
+		}
+		s, t := w.cur.Src, w.cur.Dst
+		w.rsp.Tail(l.total, func(hop func(trace.HopEvent)) { l.replay(hop, s, t) })
+		w.log = nil
 	}
 	w.rsp.End()
 }

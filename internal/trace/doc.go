@@ -16,12 +16,12 @@
 //
 // A Tracer starts one Trace per request. The Trace owns a tree of Spans;
 // every Span carries key/value attributes, a bounded list of timed Events
-// (round starts, epoch advances, snapshot resumptions), and a fixed-size
-// ring of HopEvents, allocated by its first hop, that keeps the *tail* of
-// the walk — the last DefaultHopRing hops before the verdict, which for a
-// slow walk is exactly the evidence worth keeping (where the message was
-// when the budget ran out), at O(1) memory however long the walk ran.
-// Spans that record no hops (a request, a compile) allocate no ring.
+// (round starts, epoch advances, snapshot resumptions), and, for a walk,
+// the *tail* of its HopEvents — the last Config.HopRing hops before the
+// verdict, which for a slow walk is exactly the evidence worth keeping
+// (where the message was when the budget ran out), at O(1) memory however
+// long the walk ran. A walk hands its span a hop count and a replay that
+// can rebuild the tail (Span.Tail); nothing else is recorded per hop.
 //
 // # Sampling and retention
 //
@@ -35,13 +35,16 @@
 // flight recorder: always on error (Trace.SetError),
 // always when the request latency reached Config.SlowThreshold (the
 // tail-latency trigger), and unconditionally when SlowThreshold is zero.
-// The recorder is a lock-free ring of atomic pointers — the last
-// Config.Capacity retained traces, readable at any time while requests
-// keep landing.
+// Only then do the trace's hop tails get built: Trace.Finish runs the
+// replays of a trace it keeps, after taking its end time, and drops the
+// replays of one it does not, so a dropped trace costs no tail and a
+// replay never counts toward SlowThreshold. The recorder is a lock-free
+// ring of atomic pointers — the last Config.Capacity retained traces,
+// readable at any time while requests keep landing.
 //
 // Concurrency: one Trace/Span tree belongs to one request goroutine while
-// recording (a hop ring has one writer, the walk that owns the span, which
-// fills it when its round ends); finished traces are immutable and safely
+// recording, and the goroutine that calls Finish runs the kept trace's
+// replays before publishing it; finished traces are immutable and safely
 // shared by recorder readers. The Tracer and Recorder themselves are fully
 // concurrent-safe.
 package trace

@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // The export types are the wire shapes served by GET /v1/traces and
 // GET /v1/traces/{id}. They are plain data — building them copies out of
@@ -113,11 +116,9 @@ func (sp *Span) export() SpanExport {
 	for _, ev := range sp.events {
 		se.Events = append(se.Events, EventExport{Time: ev.Time, Name: ev.Name, Attrs: attrMap(ev.Attrs)})
 	}
-	// Unroll the tail ring into hop order, oldest retained hop first.
 	se.HopsDropped = sp.hopTotal - int64(len(sp.hops))
 	if len(sp.hops) > 0 {
-		se.Hops = make([]HopEvent, 0, len(sp.hops))
-		se.Hops = append(append(se.Hops, sp.hops[sp.hopNext:]...), sp.hops[:sp.hopNext]...)
+		se.Hops = slices.Clone(sp.hops)
 	}
 	return se
 }

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Defaults for Config.
+// Defaults for Config, and the per-span event cap.
 const (
 	// DefaultHopRing is the per-span hop-event tail capacity: the last
 	// this-many hops of a walk are kept, older ones are counted but
 	// dropped. 256 hops ≈ several epochs of context before a verdict.
 	DefaultHopRing = 256
-	// DefaultEventCap bounds the per-span timed-event list (round starts,
+	// DefaultEventCap bounds every span's timed-event list (round starts,
 	// epoch advances, resumptions). Overflow increments a drop counter.
 	DefaultEventCap = 128
 	// DefaultCapacity is the flight recorder's retained-trace count.
@@ -36,8 +36,6 @@ type Config struct {
 	Capacity int
 	// HopRing is the per-span hop tail size (0 = DefaultHopRing).
 	HopRing int
-	// EventCap bounds per-span timed events (0 = DefaultEventCap).
-	EventCap int
 }
 
 // Tracer makes the per-request sampling decision and owns the flight
@@ -55,9 +53,6 @@ type Tracer struct {
 func New(cfg Config) *Tracer {
 	if cfg.HopRing <= 0 {
 		cfg.HopRing = DefaultHopRing
-	}
-	if cfg.EventCap <= 0 {
-		cfg.EventCap = DefaultEventCap
 	}
 	var thr uint64
 	switch {
@@ -203,8 +198,10 @@ func (tr *Trace) Duration() time.Duration {
 }
 
 // Finish closes the root span, applies the retention policy, and offers
-// the trace to the flight recorder. Idempotent; a trace must not be
-// mutated afterwards.
+// the trace to the flight recorder. A kept trace runs its spans' hop tail
+// replays (Span.Tail) first, after its end time is taken, so a replay
+// never makes a request slow; a dropped one never runs them. Idempotent; a
+// trace must not be mutated afterwards.
 func (tr *Trace) Finish() {
 	if tr == nil || !tr.finished.CompareAndSwap(false, true) {
 		return
@@ -216,9 +213,13 @@ func (tr *Trace) Finish() {
 		slow := tr.tracer.cfg.SlowThreshold
 		keep = slow == 0 || (slow > 0 && tr.end.Sub(tr.start) >= slow)
 	}
-	if keep {
-		tr.tracer.rec.Keep(tr)
+	if !keep {
+		return
 	}
+	for _, sp := range tr.spans {
+		sp.fillTail()
+	}
+	tr.tracer.rec.Keep(tr)
 }
 
 // newSpan allocates a span and links it into the trace.
@@ -289,13 +290,12 @@ type Span struct {
 	events        []Event
 	eventsDropped int64
 
-	// hops is the tail-capture ring, allocated by the first Hop with
-	// capacity Config.HopRing: hopTotal counts every hop, recorded or
-	// skipped, the ring keeps the most recent cap(hops) recorded ones, and
-	// hopNext is the slot the next one overwrites once the ring is full.
+	// hopTotal counts every hop of the span's walk, and replay (set by
+	// Tail) re-emits the last HopRing of them. Finish runs it into hops on
+	// a kept trace and drops it.
 	hops     []HopEvent
-	hopNext  int
 	hopTotal int64
+	replay   func(hop func(HopEvent))
 }
 
 // Recording reports whether the span records (false for nil) — the guard
@@ -341,43 +341,40 @@ func (sp *Span) Event(name string, attrs ...Attr) {
 	if sp == nil {
 		return
 	}
-	if len(sp.events) >= sp.trace.tracer.cfg.EventCap {
+	if len(sp.events) >= DefaultEventCap {
 		sp.eventsDropped++
 		return
 	}
 	sp.events = append(sp.events, Event{Time: time.Now(), Name: name, Attrs: attrs})
 }
 
-// Hop records one walk hop into the tail ring, stamping its ordinal: no
-// clock read, and no allocation after the span's first hop.
-func (sp *Span) Hop(ev HopEvent) {
+// Tail records that the span's walk made total hops and stores replay,
+// which must re-emit the last min(total, HopRing()) of them, oldest first,
+// into the hop function it is handed; it need not stamp their ordinals.
+// Finish runs replay only if it keeps the trace, so a walk pays for its hop
+// tail only when someone can read it, and a trace that is never finished
+// never runs it. A later Tail replaces an earlier one.
+func (sp *Span) Tail(total int64, replay func(hop func(HopEvent))) {
 	if sp == nil {
 		return
 	}
-	ev.Hop = sp.hopTotal
-	sp.hopTotal++
-	if sp.hops == nil {
-		sp.hops = make([]HopEvent, 0, sp.HopRing())
-	}
-	if len(sp.hops) < cap(sp.hops) {
-		sp.hops = append(sp.hops, ev)
-		return
-	}
-	sp.hops[sp.hopNext] = ev
-	if sp.hopNext++; sp.hopNext == len(sp.hops) {
-		sp.hopNext = 0
-	}
+	sp.hopTotal, sp.replay = total, replay
 }
 
-// SkipHops counts n hops older than the ones about to be recorded, without
-// keeping them: a recorder that replays only a walk's tail calls it once
-// before the tail's Hops, so every ordinal and the hop total come out as if
-// each hop had been recorded.
-func (sp *Span) SkipHops(n int64) {
-	if sp == nil {
+// fillTail runs the span's replay into its hop tail, stamping each hop's
+// ordinal within the walk, and drops the replay with whatever it holds.
+func (sp *Span) fillTail() {
+	if sp.replay == nil {
 		return
 	}
-	sp.hopTotal += n
+	n := min(sp.hopTotal, int64(sp.HopRing()))
+	first := sp.hopTotal - n
+	sp.hops = make([]HopEvent, 0, n)
+	sp.replay(func(ev HopEvent) {
+		ev.Hop = first + int64(len(sp.hops))
+		sp.hops = append(sp.hops, ev)
+	})
+	sp.replay = nil
 }
 
 // HopRing returns the capacity of the span's hop tail (0 on nil).

@@ -160,18 +160,28 @@ func TestRetentionPolicy(t *testing.T) {
 	}
 }
 
+// tail returns a replay that emits the hops of a walk whose nodes number
+// its hops, from hop first up to total, as a walker's replay emits the last
+// hops it made.
+func tail(first, total int64) func(func(HopEvent)) {
+	return func(hop func(HopEvent)) {
+		for i := first; i < total; i++ {
+			hop(HopEvent{Node: i, Index: i + 1, HeaderBits: 24})
+		}
+	}
+}
+
 func TestSpanTreeAndExport(t *testing.T) {
-	tc := New(Config{SampleRate: 1, HopRing: 4, EventCap: 2})
+	tc := New(Config{SampleRate: 1, HopRing: 4})
 	tr := tc.StartRequest("req", "")
 	root := tr.Root()
 	root.SetAttr(String("endpoint", "/v1/route"), Int("src", 3))
 	walk := root.Child("walk")
-	walk.Event("round", Int("bound", 4))
-	walk.Event("epoch", Int("version", 2))
-	walk.Event("overflow") // beyond EventCap: dropped, counted
-	for i := 0; i < 10; i++ {
-		walk.Hop(HopEvent{Node: int64(i), Index: int64(i + 1), HeaderBits: 24})
+	for i := 0; i < DefaultEventCap; i++ {
+		walk.Event("round", Int("bound", int64(i)))
 	}
+	walk.Event("overflow") // beyond DefaultEventCap: dropped, counted
+	walk.Tail(10, tail(6, 10))
 	walk.End()
 	tr.SetError("unreachable")
 	tr.Finish()
@@ -194,8 +204,8 @@ func TestSpanTreeAndExport(t *testing.T) {
 	if rootEx.Attrs["endpoint"] != "/v1/route" || rootEx.Attrs["src"] != int64(3) {
 		t.Fatalf("root attrs %v", rootEx.Attrs)
 	}
-	if len(walkEx.Events) != 2 || walkEx.EventsDropped != 1 {
-		t.Fatalf("events %d dropped %d, want 2/1", len(walkEx.Events), walkEx.EventsDropped)
+	if len(walkEx.Events) != DefaultEventCap || walkEx.EventsDropped != 1 {
+		t.Fatalf("events %d dropped %d, want %d/1", len(walkEx.Events), walkEx.EventsDropped, DefaultEventCap)
 	}
 	// Tail capture: 10 hops through a ring of 4 keeps hops 6..9.
 	if walkEx.HopTotal != 10 || walkEx.HopsDropped != 6 || len(walkEx.Hops) != 4 {
@@ -216,26 +226,31 @@ func TestSpanTreeAndExport(t *testing.T) {
 	}
 }
 
-// TestSkipHops checks a tail recorded after SkipHops: the skipped hops
-// count toward the total and the ordinals, and only recorded hops are kept
-// — in order, across the ring's wrap — while a span without hops exports
-// none.
-func TestSkipHops(t *testing.T) {
+// TestTail checks the hop tails a kept trace fills: every hop counts
+// toward the total, the hops older than the ring are dropped, the kept ones
+// carry their ordinals within the walk, and a span without hops — no Tail,
+// or a walk of none — exports none.
+func TestTail(t *testing.T) {
 	tc := New(Config{SampleRate: 1, HopRing: 4})
 	tr := tc.StartRequest("req", "")
-	for _, c := range []struct{ skip, record, dropped int64 }{{100, 3, 100}, {100, 6, 102}, {0, 9, 5}} {
-		sp := tr.Root().Child("walk")
-		sp.SkipHops(c.skip)
-		for i := int64(0); i < c.record; i++ {
-			sp.Hop(HopEvent{Node: c.skip + i})
+	cases := []struct{ total, dropped int64 }{{103, 99}, {6, 2}, {4, 0}, {3, 0}, {0, 0}}
+	spans := make([]*Span, len(cases))
+	for i, c := range cases {
+		spans[i] = tr.Root().Child("walk")
+		spans[i].Tail(c.total, tail(c.dropped, c.total))
+	}
+	tr.Finish()
+	for i, c := range cases {
+		ex := spans[i].export()
+		if ex.HopTotal != c.total || ex.HopsDropped != c.dropped || int64(len(ex.Hops)) != c.total-c.dropped {
+			t.Fatalf("total %d: total=%d dropped=%d kept=%d", c.total, ex.HopTotal, ex.HopsDropped, len(ex.Hops))
 		}
-		ex := sp.export()
-		if ex.HopTotal != c.skip+c.record || ex.HopsDropped != c.dropped || int64(len(ex.Hops)) != c.record-(c.dropped-c.skip) {
-			t.Fatalf("skip %d record %d: total=%d dropped=%d kept=%d", c.skip, c.record, ex.HopTotal, ex.HopsDropped, len(ex.Hops))
+		if c.total == 0 && ex.Hops != nil {
+			t.Fatalf("walk of no hops exported %+v", ex.Hops)
 		}
-		for i, h := range ex.Hops {
-			if want := c.dropped + int64(i); h.Hop != want || h.Node != want {
-				t.Fatalf("skip %d record %d: tail hop %d = %+v", c.skip, c.record, i, h)
+		for j, h := range ex.Hops {
+			if want := c.dropped + int64(j); h.Hop != want || h.Node != want {
+				t.Fatalf("total %d: tail hop %d = %+v", c.total, j, h)
 			}
 		}
 	}
@@ -244,6 +259,47 @@ func TestSkipHops(t *testing.T) {
 	}
 	if tr.Root().HopRing() != 4 {
 		t.Fatalf("HopRing %d, want 4", tr.Root().HopRing())
+	}
+}
+
+// TestTailReplaysOnlyKeptTraces checks when a span's replay runs: never
+// for a trace Finish drops, and once, after the trace's end time, for a
+// kept one — so a replay never counts toward the latency that decides
+// retention.
+func TestTailReplaysOnlyKeptTraces(t *testing.T) {
+	tc := New(Config{SampleRate: 1, SlowThreshold: -1, Capacity: 8})
+	var calls int
+	var at time.Time
+	replay := func(hop func(HopEvent)) {
+		calls++
+		at = time.Now()
+		tail(0, 3)(hop)
+	}
+
+	dropped := tc.StartRequest("clean", "")
+	dropped.Root().Child("walk").Tail(3, replay)
+	dropped.Finish()
+	if calls != 0 || tc.Recorder().Kept() != 0 {
+		t.Fatalf("dropped trace: %d replays, %d kept; want 0, 0", calls, tc.Recorder().Kept())
+	}
+
+	kept := tc.StartRequest("failed", "")
+	walk := kept.Root().Child("walk")
+	walk.Tail(3, replay)
+	walk.End()
+	if calls != 0 {
+		t.Fatal("a span replayed its tail before its trace finished")
+	}
+	kept.SetError("boom")
+	kept.Finish()
+	kept.Finish()
+	ex := tc.Recorder().Find(kept.ID()).Export()
+	_ = kept.Export()
+	if calls != 1 || len(ex.Spans[1].Hops) != 3 {
+		t.Fatalf("kept trace: %d replays, %d hops exported; want 1, 3", calls, len(ex.Spans[1].Hops))
+	}
+	if end := kept.start.Add(kept.Duration()); at.Before(end) {
+		t.Fatalf("replayed at %v, before the trace ended at %v", at, end)
 	}
 }
 
@@ -262,8 +318,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetAttr(String("k", "v"))
 	sp.SetName("n")
 	sp.Event("e")
-	sp.Hop(HopEvent{})
-	sp.SkipHops(3)
+	sp.Tail(3, func(func(HopEvent)) { t.Fatal("a nil span replayed") })
 	sp.End()
 }
 
@@ -309,7 +364,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
 				w := tc.StartRequest("r", "")
-				w.Root().Hop(HopEvent{Node: int64(i)})
+				w.Root().Tail(1, tail(0, 1))
 				w.Finish()
 			}
 		}()

@@ -3,8 +3,10 @@ package adhocroute
 import (
 	"context"
 
+	"repro/internal/count"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/route"
 )
 
@@ -59,15 +61,7 @@ func (r *Router) RouteWithPath(s, t NodeID) (*RouteResult, []NodeID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := publicRouteResult(res)
-	if path == nil {
-		return out, nil, nil
-	}
-	pub := make([]NodeID, len(path))
-	for i, v := range path {
-		pub[i] = NodeID(v)
-	}
-	return out, pub, nil
+	return publicRouteResult(res), publicNodes(path), nil
 }
 
 // Broadcast delivers a payload to every node of s's component; see
@@ -77,16 +71,7 @@ func (r *Router) Broadcast(s NodeID) (*BroadcastResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]NodeID, len(res.Nodes))
-	for i, v := range res.Nodes {
-		nodes[i] = NodeID(v)
-	}
-	return &BroadcastResult{
-		Reached: res.Reached,
-		Nodes:   nodes,
-		Hops:    res.Hops,
-		Rounds:  len(res.Rounds),
-	}, nil
+	return publicBroadcastResult(res), nil
 }
 
 // CountComponent computes |C_s|; see Network.CountComponent.
@@ -95,12 +80,7 @@ func (r *Router) CountComponent(s NodeID) (*CountResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CountResult{
-		Count:        res.OriginalCount,
-		ReducedCount: res.ReducedCount,
-		Rounds:       res.Rounds,
-		MessageHops:  res.Hops,
-	}, nil
+	return publicCountResult(res), nil
 }
 
 // RouteHybrid races a random walk against the guaranteed router; see
@@ -110,11 +90,7 @@ func (r *Router) RouteHybrid(s, t NodeID) (*HybridResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HybridResult{
-		Status:        Status(res.Status),
-		Winner:        res.Winner,
-		CombinedSteps: res.CombinedSteps,
-	}, nil
+	return publicHybridResult(res), nil
 }
 
 // BatchQuery is one s→t query of a batch.
@@ -188,6 +164,9 @@ func (r *Router) Stats() RouterStats {
 	}
 }
 
+// The public* functions convert internal results to the facade's types for
+// both the one-shot Network methods and the compiled Router.
+
 func publicRouteResult(res *route.Result) *RouteResult {
 	return &RouteResult{
 		Status:         Status(res.Status),
@@ -197,6 +176,44 @@ func publicRouteResult(res *route.Result) *RouteResult {
 		Bound:          res.Bound,
 		HeaderBits:     res.MaxHeaderBits,
 		NodeMemoryBits: res.PeakMemoryBits,
+	}
+}
+
+// publicNodes converts a node list, keeping nil as nil.
+func publicNodes(ids []graph.NodeID) []NodeID {
+	if ids == nil {
+		return nil
+	}
+	out := make([]NodeID, len(ids))
+	for i, v := range ids {
+		out[i] = NodeID(v)
+	}
+	return out
+}
+
+func publicBroadcastResult(res *route.BroadcastResult) *BroadcastResult {
+	return &BroadcastResult{
+		Reached: res.Reached,
+		Nodes:   publicNodes(res.Nodes),
+		Hops:    res.Hops,
+		Rounds:  len(res.Rounds),
+	}
+}
+
+func publicCountResult(res *count.Result) *CountResult {
+	return &CountResult{
+		Count:        res.OriginalCount,
+		ReducedCount: res.ReducedCount,
+		Rounds:       res.Rounds,
+		MessageHops:  res.Hops,
+	}
+}
+
+func publicHybridResult(res *hybrid.Result) *HybridResult {
+	return &HybridResult{
+		Status:        Status(res.Status),
+		Winner:        res.Winner,
+		CombinedSteps: res.CombinedSteps,
 	}
 }
 

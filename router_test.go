@@ -1,6 +1,8 @@
 package adhocroute
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -16,22 +18,40 @@ func compiledGrid(t *testing.T, rows, cols int, opts ...Option) (*Network, *Rout
 }
 
 // TestCompiledRouterMatchesOneShot checks that a compiled Router and the
-// one-shot facade produce identical results for the same seed — the
-// amortization must be pure caching.
+// one-shot facade produce identical results of every query kind for the
+// same seed — the amortization must be pure caching.
 func TestCompiledRouterMatchesOneShot(t *testing.T) {
 	nw, r := compiledGrid(t, 5, 5, WithSeed(7))
-	for _, dst := range nw.Nodes() {
-		got, err := r.Route(0, dst)
-		if err != nil {
-			t.Fatalf("Router.Route(0,%d): %v", dst, err)
+	same := func(query string, got, want any, gotErr, wantErr error) {
+		t.Helper()
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: compiled error %v, one-shot error %v", query, gotErr, wantErr)
 		}
-		want, err := nw.Route(0, dst, WithSeed(7))
-		if err != nil {
-			t.Fatalf("Network.Route(0,%d): %v", dst, err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: compiled %+v, one-shot %+v", query, got, want)
 		}
-		if *got != *want {
-			t.Fatalf("Route(0,%d): compiled %+v, one-shot %+v", dst, got, want)
-		}
+	}
+	for _, v := range nw.Nodes() {
+		got, err := r.Route(0, v)
+		want, wantErr := nw.Route(0, v, WithSeed(7))
+		same(fmt.Sprintf("Route(0,%d)", v), got, want, err, wantErr)
+
+		got, gotPath, err := r.RouteWithPath(0, v)
+		want, wantPath, wantErr := nw.RouteWithPath(0, v, WithSeed(7))
+		same(fmt.Sprintf("RouteWithPath(0,%d)", v), got, want, err, wantErr)
+		same(fmt.Sprintf("RouteWithPath(0,%d) path", v), gotPath, wantPath, nil, nil)
+
+		gotB, err := r.Broadcast(v)
+		wantB, wantErr := nw.Broadcast(v, WithSeed(7))
+		same(fmt.Sprintf("Broadcast(%d)", v), gotB, wantB, err, wantErr)
+
+		gotC, err := r.CountComponent(v)
+		wantC, wantErr := nw.CountComponent(v, WithSeed(7))
+		same(fmt.Sprintf("CountComponent(%d)", v), gotC, wantC, err, wantErr)
+
+		gotH, err := r.RouteHybrid(0, v)
+		wantH, wantErr := nw.RouteHybrid(0, v, WithSeed(7))
+		same(fmt.Sprintf("RouteHybrid(0,%d)", v), gotH, wantH, err, wantErr)
 	}
 }
 
