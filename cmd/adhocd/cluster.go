@@ -186,11 +186,11 @@ func (c *clusterNode) rebalanceWorlds(ctx context.Context) {
 	}
 }
 
-// migratePayload is the world-handoff wire shape: everything the new
-// owner needs to rebuild the world by replay — the backing network's spec
-// (inline, so the transfer does not race the owner's LRU), the schedule,
-// and how many epochs to advance. Schedules are epoch-deterministic, so
-// the replayed world is byte-identical to the original.
+// migratePayload is the world-handoff wire shape: the world's replay
+// tuple — the backing network's spec (inline, so the transfer does not
+// race either shard's LRU), the schedule, and how many epochs to advance.
+// Cluster mode admits only schedules that replay, so the replayed world is
+// byte-identical to the original.
 type migratePayload struct {
 	Name        string         `json:"name"`
 	NetworkSpec *registry.Spec `json:"network_spec,omitempty"` // nil = the boot network
@@ -200,19 +200,12 @@ type migratePayload struct {
 
 // migrateWorld posts one world to its new owner.
 func (c *clusterNode) migrateWorld(ctx context.Context, ent *registry.WorldEntry, owner cluster.Member) error {
-	p := migratePayload{
-		Name:     ent.ID,
-		Schedule: ent.Schedule,
-		Epochs:   ent.W.Snapshot().Epoch,
-	}
-	if ent.NetworkID != "" {
-		net, ok := c.s.reg.Get(ent.NetworkID)
-		if !ok {
-			return fmt.Errorf("network %s evicted; cannot replay world %s elsewhere", ent.NetworkID, ent.ID)
-		}
-		p.NetworkSpec = &net.Spec
-	}
-	body, err := json.Marshal(p)
+	body, err := json.Marshal(migratePayload{
+		Name:        ent.ID,
+		NetworkSpec: ent.Network,
+		Schedule:    ent.Schedule,
+		Epochs:      ent.W.Snapshot().Epoch,
+	})
 	if err != nil {
 		return err
 	}
@@ -317,9 +310,8 @@ func (c *clusterNode) handleGossip(w http.ResponseWriter, r *http.Request) {
 
 // handleMigrate serves POST /v1/cluster/migrate: rebuild the offered
 // world by replay — obtain the backing network (compiling it if this
-// shard never served it), build the schedule, advance to the source's
-// epoch, then publish it in the world table. The world only becomes
-// visible once fully caught up, so no request can observe it mid-replay.
+// shard never served it), then let buildWorld advance a fresh world to
+// the source's epoch and publish it once fully caught up.
 func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if limit := c.s.maxBody; limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
@@ -340,48 +332,16 @@ func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, worldInfoOf(ent))
 		return
 	}
-	eng, pos, netID := c.s.eng, c.s.pos, ""
+	var net *registry.Entry
 	if p.NetworkSpec != nil {
-		ent, _, err := c.s.reg.Obtain(*p.NetworkSpec)
-		if err != nil {
+		var err error
+		if net, _, err = c.s.reg.Obtain(*p.NetworkSpec); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
-		eng, pos, netID = ent.Eng, ent.Pos, ent.ID
 	}
-	sched, err := p.Schedule.Build()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if err := c.s.worlds.Precheck(p.Name); err != nil {
-		writeWorldCreateErr(w, err)
-		return
-	}
-	world := eng.NewWorld(sched)
-	if pos != nil {
-		world.SetPositions(pos)
-	}
-	world.SetChaos(c.s.chaos)
-	for i := 0; i < p.Epochs; i++ {
-		if err := world.Advance(dynamic.Probe{}); err != nil {
-			writeErr(w, err)
-			return
-		}
-	}
-	desc := p.Schedule.Kind
-	if desc == "" {
-		desc = "static"
-	}
-	ent, err := c.s.worlds.Create(p.Name, &registry.WorldEntry{
-		NetworkID: netID,
-		Desc:      desc,
-		Eng:       eng,
-		W:         world,
-		Schedule:  p.Schedule,
-	})
-	if err != nil {
-		writeWorldCreateErr(w, err)
+	ent, ok := c.s.buildWorld(w, p.Name, net, p.Schedule, p.Epochs)
+	if !ok {
 		return
 	}
 	c.migrationsIn.Inc()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/registry"
 )
 
 // testClusterKey is the shared resume-token HMAC key every shard (and the
@@ -52,13 +53,19 @@ func testClusterEngine(t *testing.T) *engine.Engine {
 // token key, wires their advertised addresses, and converges membership.
 func newTestCluster(t *testing.T, n int) *clusterHarness {
 	t.Helper()
+	return newTestClusterWith(t, n, serverConfig{})
+}
+
+// newTestClusterWith is newTestCluster with cfg as every shard's serving
+// config (its token key and cluster settings are the harness's).
+func newTestClusterWith(t *testing.T, n int, cfg serverConfig) *clusterHarness {
+	t.Helper()
 	h := &clusterHarness{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("shard-%d", i)
-		srv := newServer(testClusterEngine(t), nil, "test 4x4 grid + 5-cycle", serverConfig{
-			tokenKey: testClusterKey,
-			cluster:  &clusterConfig{name: name},
-		})
+		cfg.tokenKey = testClusterKey
+		cfg.cluster = &clusterConfig{name: name}
+		srv := newServer(testClusterEngine(t), nil, "test 4x4 grid + 5-cycle", cfg)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		srv.cluster.setAdvertise(ts.URL)
@@ -507,6 +514,110 @@ func TestClusterDrainMigratesWorldAndResumesElsewhere(t *testing.T) {
 			break
 		}
 		resume = rep.Resume
+	}
+}
+
+// TestClusterDrainReplaysWorldOfEvictedNetwork: a world keeps the spec of
+// the network it was seeded from, so a drain hands it off even after the
+// registry LRU has evicted that network from the world's owner.
+func TestClusterDrainReplaysWorldOfEvictedNetwork(t *testing.T) {
+	h := newTestClusterWith(t, 2, serverConfig{registry: registry.Config{Capacity: 1}})
+	owner := h.ownerOf(t, "world:w-evict")
+	survivor := h.shards[0]
+	if survivor == owner {
+		survivor = h.shards[1]
+	}
+	cc, cb, _ := doRaw(t, owner.ts.URL, "POST", "/v1/networks", `{"kind":"grid","rows":6,"cols":6,"seed":5}`)
+	if cc != http.StatusCreated {
+		t.Fatalf("create network: %d %s", cc, cb)
+	}
+	var net struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(cb, &net); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"name":"w-evict","network_id":%q,"schedule":{"kind":"markov","p_down":0.05,"p_up":0.5,"seed":13}}`, net.ID)
+	if cc, cb, _ = doRaw(t, owner.ts.URL, "POST", "/v1/worlds", body); cc != http.StatusCreated {
+		t.Fatalf("create world: %d %s", cc, cb)
+	}
+	if cc, cb, _ = doRaw(t, owner.ts.URL, "POST", "/v1/worlds/w-evict/advance", `{"epochs":6}`); cc != http.StatusOK {
+		t.Fatalf("advance: %d %s", cc, cb)
+	}
+	orig, ok := owner.srv.worlds.Get("w-evict")
+	if !ok {
+		t.Fatalf("world not resident on its owner %s", owner.name)
+	}
+
+	// Compiling another network evicts the world's network from the owner.
+	if _, _, err := owner.srv.reg.Obtain(registry.Spec{Kind: "grid", Rows: 5, Cols: 5, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range owner.srv.reg.List() {
+		if ent.ID == net.ID {
+			t.Fatalf("network %s still resident on %s", net.ID, owner.name)
+		}
+	}
+
+	owner.srv.BeginDrain()
+	if n := owner.srv.cluster.migrationErrs.Value(); n != 0 {
+		t.Fatalf("drain counted %d migration errors", n)
+	}
+	if n := owner.srv.worlds.Len(); n != 0 {
+		t.Fatalf("drained shard still holds %d worlds", n)
+	}
+	moved, ok := survivor.srv.worlds.Get("w-evict")
+	if !ok {
+		t.Fatal("world w-evict resident on no survivor after drain")
+	}
+	var a, b bytes.Buffer
+	if err := orig.W.Graph().Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := moved.W.Graph().Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if moved.W.Epoch() != orig.W.Epoch() || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("replayed world at epoch %d differs from the original at epoch %d", moved.W.Epoch(), orig.W.Epoch())
+	}
+	var info worldInfo
+	if cc, cb, _ = doRaw(t, survivor.ts.URL, "GET", "/v1/worlds/w-evict", ""); cc != http.StatusOK {
+		t.Fatalf("world info on the survivor: %d %s", cc, cb)
+	}
+	if err := json.Unmarshal(cb, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.NetworkID != net.ID || info.Desc != "markov" {
+		t.Fatalf("migrated world info: %+v", info)
+	}
+}
+
+// TestClusterRefusesUnreplayableWorld: a cluster refuses a world whose
+// schedule does not replay ("adversary" follows the walks in flight), on
+// create through any shard and on migration, because it could not move
+// between shards; a single server still creates it.
+func TestClusterRefusesUnreplayableWorld(t *testing.T) {
+	const body = `{"name":"w-adv","schedule":{"kind":"adversary"}}`
+	h := newTestCluster(t, 2)
+	for _, sh := range h.shards {
+		if cc, cb, _ := doRaw(t, sh.ts.URL, "POST", "/v1/worlds", body); cc != http.StatusBadRequest || !strings.Contains(string(cb), "does not replay") {
+			t.Fatalf("clustered adversary world via %s: %d %s, want 400", sh.name, cc, cb)
+		}
+	}
+	owner := h.ownerOf(t, "world:w-adv")
+	if cc, cb, _ := doRaw(t, owner.ts.URL, "POST", migratePath, `{"name":"w-adv","schedule":{"kind":"adversary"},"epochs":3}`); cc != http.StatusBadRequest {
+		t.Fatalf("adversary world migration: %d %s, want 400", cc, cb)
+	}
+	for _, sh := range h.shards {
+		if n := sh.srv.worlds.Len(); n != 0 {
+			t.Fatalf("%s holds %d worlds", sh.name, n)
+		}
+	}
+
+	single := httptest.NewServer(newServer(testClusterEngine(t), nil, "single", serverConfig{tokenKey: testClusterKey}))
+	t.Cleanup(single.Close)
+	if cc, cb, _ := doRaw(t, single.URL, "POST", "/v1/worlds", body); cc != http.StatusCreated {
+		t.Fatalf("single-server adversary world: %d %s, want 201", cc, cb)
 	}
 }
 

@@ -1071,11 +1071,7 @@ func (s *server) handleDynamic(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	world := s.eng.NewWorld(sched)
-	if s.pos != nil {
-		world.SetPositions(s.pos)
-	}
-	world.SetChaos(s.chaos)
+	world := s.newWorld(s.eng, s.pos, sched)
 	// Unlike the other endpoints, a dynamic query's cost scales with its
 	// knobs (each churned epoch buys a recompile), so they are clamped
 	// server-side: one request must not purchase unbounded CPU.

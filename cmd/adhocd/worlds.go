@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/dynamic"
+	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/registry"
 )
@@ -48,10 +50,17 @@ func worldInfoOf(ent *registry.WorldEntry) worldInfo {
 	// One atomic world snapshot: racing an advance must not pair one
 	// epoch's clock with another epoch's link count.
 	snap := ent.W.Snapshot()
+	netID, desc := "", ent.Schedule.Kind
+	if ent.Network != nil {
+		netID = ent.Network.ID()
+	}
+	if desc == "" {
+		desc = "static"
+	}
 	return worldInfo{
 		ID:              ent.ID,
-		NetworkID:       ent.NetworkID,
-		Desc:            ent.Desc,
+		NetworkID:       netID,
+		Desc:            desc,
 		Epoch:           snap.Epoch,
 		Version:         snap.Version,
 		Nodes:           snap.Nodes,
@@ -76,55 +85,80 @@ func (s *server) handleWorldCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	eng, pos := s.eng, s.pos
+	var net *registry.Entry
 	if req.NetworkID != "" {
-		ent, ok := s.reg.Get(req.NetworkID)
+		var ok bool
+		net, ok = s.reg.Get(req.NetworkID)
 		if !ok && s.cluster != nil {
 			// The world hashed here but its backing network hashed to another
 			// shard: pull the spec from the network's owner and compile it
 			// locally (same spec → same engine).
-			ent, ok = s.cluster.fetchNetwork(r.Context(), req.NetworkID)
+			net, ok = s.cluster.fetchNetwork(r.Context(), req.NetworkID)
 		}
 		if !ok {
 			writeJSON(w, http.StatusNotFound,
 				errorBody{Error: fmt.Sprintf("unknown network %q (re-register via POST /v1/networks)", req.NetworkID)})
 			return
 		}
-		eng, pos = ent.Eng, ent.Pos
 	}
-	sched, err := req.Schedule.Build()
+	if ent, ok := s.buildWorld(w, req.Name, net, req.Schedule, 0); ok {
+		writeJSON(w, http.StatusCreated, worldInfoOf(ent))
+	}
+}
+
+// buildWorld builds a world from its replay tuple — the network it is
+// seeded from (nil = the boot network), its schedule, and how many epochs
+// it has run — and registers it under name once it has caught up, so no
+// request sees it mid-replay. Every named world is built here: created
+// (0 epochs) or migrated from another shard. It answers the error itself
+// when it fails. In cluster mode it refuses a schedule that does not
+// replay, since such a world could not move to another shard.
+func (s *server) buildWorld(w http.ResponseWriter, name string, net *registry.Entry, spec dynamic.Spec, epochs int) (*registry.WorldEntry, bool) {
+	sched, err := spec.Build()
+	if err == nil && s.cluster != nil && !spec.Replays() {
+		err = fmt.Errorf("schedule %q does not replay (its epochs follow the walks in flight), so a cluster cannot move its world between shards", spec.Kind)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return nil, false
 	}
 	// Refuse doomed creates (bad name, duplicate, table full) before
 	// paying for the world clone; the Create below re-checks
 	// authoritatively.
-	if err := s.worlds.Precheck(req.Name); err != nil {
+	if err := s.worlds.Precheck(name); err != nil {
 		writeWorldCreateErr(w, err)
-		return
+		return nil, false
 	}
+	eng, pos := s.eng, s.pos
+	var netSpec *registry.Spec
+	if net != nil {
+		eng, pos, netSpec = net.Eng, net.Pos, &net.Spec
+	}
+	world := s.newWorld(eng, pos, sched)
+	for range epochs {
+		if err := world.Advance(dynamic.Probe{}); err != nil {
+			writeErr(w, err)
+			return nil, false
+		}
+	}
+	ent, err := s.worlds.Create(name, &registry.WorldEntry{Network: netSpec, Schedule: spec, Eng: eng, W: world})
+	if err != nil {
+		writeWorldCreateErr(w, err)
+		return nil, false
+	}
+	return ent, true
+}
+
+// newWorld clones eng's network into a world evolving under sched, its
+// mobility starting from pos (nil = no placement) and its faults drawn
+// from the server's injector.
+func (s *server) newWorld(eng *engine.Engine, pos map[graph.NodeID]geom.Point, sched dynamic.Schedule) *dynamic.World {
 	world := eng.NewWorld(sched)
 	if pos != nil {
 		world.SetPositions(pos)
 	}
 	world.SetChaos(s.chaos)
-	desc := req.Schedule.Kind
-	if desc == "" {
-		desc = "static"
-	}
-	ent, err := s.worlds.Create(req.Name, &registry.WorldEntry{
-		NetworkID: req.NetworkID,
-		Desc:      desc,
-		Eng:       eng,
-		W:         world,
-		Schedule:  req.Schedule,
-	})
-	if err != nil {
-		writeWorldCreateErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, worldInfoOf(ent))
+	return world
 }
 
 // writeWorldCreateErr maps world admission errors onto HTTP statuses.

@@ -79,6 +79,14 @@ func (s Spec) Build() (Schedule, error) {
 	}
 }
 
+// Replays reports whether the schedule's epochs depend on nothing but the
+// world they evolve and the epoch count, so that a fresh world on the same
+// network, advanced as many epochs with idle probes, reaches the same
+// topology under the same port numbering. Every kind replays except
+// "adversary": LinkCutter cuts the link the walk in flight is about to
+// take, so its topology follows the walks.
+func (s Spec) Replays() bool { return s.Kind != "adversary" }
+
 // inRange reports an ErrSpecRange error unless the field's value v lies in
 // [0, hi].
 func inRange(field string, v, hi float64) error {

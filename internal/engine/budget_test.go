@@ -210,3 +210,82 @@ func TestEngineRouteDynamicBudgeted(t *testing.T) {
 		t.Fatalf("dynamic Certificates = %d, want 1", ds.Certificates)
 	}
 }
+
+// TestResumedWalkBookedOnce: a walk resumed from cursors books its hops,
+// rounds, epochs and resumptions once over all its calls, as the same walk
+// unbudgeted does, and observes the hop and header-bit histograms once,
+// on the call that reaches the verdict. A same-node query carrying a
+// cursor resumes nothing and books nothing of it.
+func TestResumedWalkBookedOnce(t *testing.T) {
+	g := gen.UDG2D(256, 0.15, 1).G
+	const s, dst, budget = 0, 200, 256
+	ref := mustCompile(t, g, Config{Seed: 7})
+	full, err := ref.Route(s, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg := dynamic.Config{HopsPerEpoch: 64}
+	dfull, err := ref.RouteDynamic(ref.NewWorld(dynamic.Static{}), s, dst, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	once := func(e *Engine, hops int64, rounds, epochs, resumptions int) {
+		t.Helper()
+		st := e.Stats()
+		if st.Hops != hops || st.Rounds != int64(rounds) ||
+			st.DynamicEpochs != int64(epochs) || st.DynamicResumptions != int64(resumptions) {
+			t.Fatalf("booked %d hops, %d rounds, %d epochs, %d resumptions; the walk has %d, %d, %d, %d",
+				st.Hops, st.Rounds, st.DynamicEpochs, st.DynamicResumptions, hops, rounds, epochs, resumptions)
+		}
+		if n, sum := e.m.hopsPerRoute.Count(), e.m.hopsPerRoute.Sum(); n != 1 || sum != hops {
+			t.Fatalf("hop histogram: %d observations summing to %d, want 1 of %d", n, sum, hops)
+		}
+		if n := e.m.headerBits.Count(); n != 1 {
+			t.Fatalf("header-bit histogram: %d observations, want 1", n)
+		}
+	}
+
+	e := mustCompile(t, g, Config{Seed: 7})
+	res, n := engineRunToVerdict(t, e, s, dst, budget)
+	if n < 2 || res.Hops != full.Hops {
+		t.Fatalf("budgeted walk: %d continuations, %d hops; unbudgeted %d hops", n, res.Hops, full.Hops)
+	}
+	once(e, full.Hops, len(full.Rounds), 0, 0)
+
+	de := mustCompile(t, g, Config{Seed: 7})
+	w := de.NewWorld(dynamic.Static{})
+	var cur *route.Cursor
+	for segs := 0; ; segs++ {
+		if segs > 10000 {
+			t.Fatal("dynamic walk did not finish")
+		}
+		dres, err := de.RouteDynamicBudgeted(context.Background(), w, s, dst, budget, cur, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dres.Exhausted == "" {
+			if segs < 2 || dres.Hops != dfull.Hops {
+				t.Fatalf("budgeted dynamic walk: %d continuations, %d hops; unbudgeted %d hops", segs, dres.Hops, dfull.Hops)
+			}
+			break
+		}
+		cur = dres.Cursor
+	}
+	once(de, dfull.Hops, dfull.Rounds, dfull.Epochs, dfull.Resumptions)
+
+	if _, err := e.RouteBudgeted(context.Background(), s, s, 0, cur); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := de.RouteDynamicBudgeted(context.Background(), w, s, s, 0, cur, dcfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Hops != full.Hops || st.ResumedWalks != int64(n) {
+		t.Fatalf("same-node query with a cursor: %d hops, %d resumed walks; want %d, %d",
+			st.Hops, st.ResumedWalks, full.Hops, n)
+	}
+	if st := de.Stats(); st.Hops != dfull.Hops || st.Rounds != int64(dfull.Rounds) || st.DynamicEpochs != int64(dfull.Epochs) {
+		t.Fatalf("same-node dynamic query with a cursor: %d hops, %d rounds, %d epochs; want %d, %d, %d",
+			st.Hops, st.Rounds, st.DynamicEpochs, dfull.Hops, dfull.Rounds, dfull.Epochs)
+	}
+}

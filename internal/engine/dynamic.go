@@ -56,12 +56,15 @@ func (e *Engine) RouteDynamicBudgeted(ctx context.Context, w *dynamic.World, s, 
 		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
 		ctx = trace.NewContext(ctx, qsp)
 	}
+	if s == t {
+		cur = nil // answered at once: no walk resumes, nothing to subtract
+	}
 	start := sampleStart(e.m.dynamicRoutes.Add(1))
 	if cur != nil {
 		e.m.resumedWalks.Add(1)
 	}
 	res, err := dynamic.NewRouter(w, cfg).RouteBudgeted(ctx, s, t, maxHops, cur)
-	e.m.recordDynamic(res, err, start)
+	e.m.recordDynamic(res, err, start, cur)
 	if qsp.Recording() {
 		if err != nil {
 			qsp.SetAttr(trace.String("error", err.Error()))

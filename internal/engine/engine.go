@@ -170,7 +170,7 @@ func (e *Engine) Workers() int {
 func (e *Engine) Route(s, t graph.NodeID) (*route.Result, error) {
 	start := sampleStart(e.m.routes.Add(1))
 	res, err := e.router.Route(s, t)
-	e.m.recordRoute(res, err, start)
+	e.m.recordRoute(res, err, start, nil)
 	return res, err
 }
 
@@ -193,12 +193,15 @@ func (e *Engine) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
 		ctx = trace.NewContext(ctx, qsp)
 	}
+	if s == t {
+		cur = nil // answered at once: no walk resumes, nothing to subtract
+	}
 	start := sampleStart(e.m.routes.Add(1))
 	if cur != nil {
 		e.m.resumedWalks.Add(1)
 	}
 	res, err := e.router.RouteBudgeted(ctx, s, t, maxHops, cur)
-	e.m.recordRoute(res, err, start)
+	e.m.recordRoute(res, err, start, cur)
 	annotateRoute(qsp, res, err)
 	return res, err
 }
@@ -231,7 +234,7 @@ func annotateRoute(sp *trace.Span, res *route.Result, err error) {
 func (e *Engine) RouteWithPath(s, t graph.NodeID) (*route.Result, []graph.NodeID, error) {
 	start := sampleStart(e.m.routes.Add(1))
 	res, path, err := e.router.RouteWithPath(s, t)
-	e.m.recordRoute(res, err, start)
+	e.m.recordRoute(res, err, start, nil)
 	return res, path, err
 }
 

@@ -242,10 +242,14 @@ func sampleStart(n int64) time.Time {
 	return time.Time{}
 }
 
-// recordRoute books one Route/RouteWithPath outcome. The route counter
-// was already incremented at query start (it doubles as the latency
-// sampling grid); start is zero on unsampled queries.
-func (m *metrics) recordRoute(res *route.Result, err error, start time.Time) {
+// recordRoute books one Route/RouteWithPath/RouteBudgeted outcome. The
+// route counter was already incremented at query start (it doubles as the
+// latency sampling grid); start is zero on unsampled queries. cur is the
+// cursor the call resumed from (nil for a fresh walk): res.Hops counts the
+// whole walk, so the hops earlier segments already booked are subtracted,
+// and the walk's hop and header-bit distributions are observed once, on
+// the call that reaches its verdict.
+func (m *metrics) recordRoute(res *route.Result, err error, start time.Time, cur *route.Cursor) {
 	if m.vecStatic != nil {
 		m.vecStatic.Inc()
 		if err != nil {
@@ -263,16 +267,21 @@ func (m *metrics) recordRoute(res *route.Result, err error, start time.Time) {
 	if res == nil {
 		return
 	}
-	m.hops.Add(res.Hops)
+	hops := res.Hops
+	if cur != nil {
+		hops -= cur.Hops + cur.RoundHops
+	}
+	m.hops.Add(hops)
 	m.rounds.Add(int64(len(res.Rounds)))
 	if res.Certificate != nil {
 		m.certificates.Add(1)
 	}
 	if res.Exhausted != "" {
 		m.budgetExhausted.Add(1)
+	} else {
+		m.hopsPerRoute.Observe(res.Hops)
+		m.headerBits.Observe(int64(res.MaxHeaderBits))
 	}
-	m.hopsPerRoute.Observe(res.Hops)
-	m.headerBits.Observe(int64(res.MaxHeaderBits))
 	m.maxHeader(res.MaxHeaderBits)
 }
 
@@ -298,8 +307,11 @@ func (m *metrics) recordCount(res *count.Result, err error) {
 }
 
 // recordDynamic books one RouteDynamic outcome; the dynamic-route counter
-// was incremented at query start, start is zero on unsampled queries.
-func (m *metrics) recordDynamic(res *dynamic.Result, err error, start time.Time) {
+// was incremented at query start, start is zero on unsampled queries. As
+// in recordRoute, cur is the cursor the call resumed from: res carries the
+// walk's cumulative hops, rounds, epochs and resumptions, so what cur
+// already counted is subtracted.
+func (m *metrics) recordDynamic(res *dynamic.Result, err error, start time.Time, cur *route.Cursor) {
 	if m.vecDynamic != nil {
 		m.vecDynamic.Inc()
 		if err != nil {
@@ -317,19 +329,27 @@ func (m *metrics) recordDynamic(res *dynamic.Result, err error, start time.Time)
 	if res == nil {
 		return
 	}
-	m.hops.Add(res.Hops)
-	m.rounds.Add(int64(res.Rounds))
-	m.dynamicEpochs.Add(int64(res.Epochs))
+	hops, rounds, epochs, resumptions := res.Hops, res.Rounds, res.Epochs, res.Resumptions
+	if cur != nil {
+		hops -= cur.Hops + cur.RoundHops
+		rounds -= cur.Rounds
+		epochs -= cur.Epochs
+		resumptions -= cur.Resumptions
+	}
+	m.hops.Add(hops)
+	m.rounds.Add(int64(rounds))
+	m.dynamicEpochs.Add(int64(epochs))
 	m.dynamicRecompiles.Add(int64(res.Recompiles))
-	m.dynamicResumptions.Add(int64(res.Resumptions))
+	m.dynamicResumptions.Add(int64(resumptions))
 	if res.Certificate != nil {
 		m.certificates.Add(1)
 	}
 	if res.Exhausted != "" {
 		m.budgetExhausted.Add(1)
+	} else {
+		m.hopsPerRoute.Observe(res.Hops)
+		m.headerBits.Observe(int64(res.MaxHeaderBits))
 	}
-	m.hopsPerRoute.Observe(res.Hops)
-	m.headerBits.Observe(int64(res.MaxHeaderBits))
 	m.maxHeader(res.MaxHeaderBits)
 }
 

@@ -31,16 +31,15 @@ const DefaultWorldLimit = 16
 type WorldEntry struct {
 	// ID names the world in /v1/worlds/{id}/…: client-chosen or generated.
 	ID string
-	// NetworkID is the registry ID of the network the world was seeded
-	// from ("" = the daemon's boot network).
-	NetworkID string
-	// Desc describes the schedule driving the world.
-	Desc string
-	// Schedule is the dynamics spec the world was created with. Schedules
-	// are epoch-deterministic, so (network spec, Schedule, epoch) fully
-	// determines a world's topology — which is what lets cluster mode
-	// migrate a world between shards by replaying it rather than
-	// serializing evolved state.
+	// Network is the spec of the tenant network the world was seeded from
+	// (nil = the daemon's boot network). It is the registry entry's own
+	// spec, so it outlives the entry's eviction from the LRU.
+	Network *Spec
+	// Schedule is the dynamics spec the world was created with. A
+	// schedule that replays (dynamic.Spec.Replays) is epoch-deterministic,
+	// so (Network, Schedule, epoch) fully determines the world's topology
+	// — which is what lets cluster mode migrate a world between shards by
+	// replaying it rather than serializing evolved state.
 	Schedule dynamic.Spec
 	// Eng is the engine the world was seeded from; dynamic routes take
 	// their protocol parameters (seed, bounds) from it.

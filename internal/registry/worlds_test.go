@@ -19,7 +19,7 @@ func testWorldEntry(t *testing.T, sched dynamic.Schedule) *WorldEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &WorldEntry{Eng: eng, W: eng.NewWorld(sched), Desc: "test"}
+	return &WorldEntry{Eng: eng, W: eng.NewWorld(sched)}
 }
 
 // TestWorldLifecycle checks naming, duplicates, capacity, and deletion.

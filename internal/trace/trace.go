@@ -230,7 +230,6 @@ func (tr *Trace) newSpan(name string, parent SpanID) *Span {
 		parent: parent,
 		name:   name,
 		start:  time.Now(),
-		events: make([]Event, 0, 8),
 	}
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, sp)
@@ -287,7 +286,7 @@ type Span struct {
 
 	attrs []Attr
 
-	events        []Event
+	events        []Event // allocated by the first Event
 	eventsDropped int64
 
 	// hopTotal counts every hop of the span's walk, and replay (set by

@@ -303,6 +303,16 @@ func TestTailReplaysOnlyKeptTraces(t *testing.T) {
 	}
 }
 
+// TestEventlessSpanAllocatesOnce: a span allocates its event list on its
+// first event, so opening and ending one that records nothing — as most
+// round spans do — allocates the span alone.
+func TestEventlessSpanAllocatesOnce(t *testing.T) {
+	root := New(Config{SampleRate: 1}).StartRequest("req", "").Root()
+	if n := testing.AllocsPerRun(1000, func() { root.Child("round").End() }); n != 1 {
+		t.Fatalf("an eventless span allocated %v times per span, want 1", n)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	var sp *Span
