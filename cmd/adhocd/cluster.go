@@ -311,7 +311,9 @@ func (c *clusterNode) handleGossip(w http.ResponseWriter, r *http.Request) {
 // handleMigrate serves POST /v1/cluster/migrate: rebuild the offered
 // world by replay — obtain the backing network (compiling it if this
 // shard never served it), then let buildWorld advance a fresh world to
-// the source's epoch and publish it once fully caught up.
+// the source's epoch and publish it once fully caught up, past the
+// -max-worlds bound if need be: refusing it would strand the world on a
+// shard that is shutting down.
 func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if limit := c.s.maxBody; limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
@@ -340,7 +342,7 @@ func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ent, ok := c.s.buildWorld(w, p.Name, net, p.Schedule, p.Epochs)
+	ent, ok := c.s.buildWorld(w, p.Name, net, p.Schedule, p.Epochs, false)
 	if !ok {
 		return
 	}

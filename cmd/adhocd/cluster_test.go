@@ -592,6 +592,62 @@ func TestClusterDrainReplaysWorldOfEvictedNetwork(t *testing.T) {
 	}
 }
 
+// TestClusterDrainPastWorldLimit: a drain hands a world to a new owner
+// that is already at its -max-worlds bound, because the bound limits what
+// clients create, not the worlds the cluster holds; a client create at the
+// bound is still refused.
+func TestClusterDrainPastWorldLimit(t *testing.T) {
+	h := newTestClusterWith(t, 2, serverConfig{maxWorlds: 1})
+	names := map[*clusterShard]string{}
+	for i := 0; len(names) < 2; i++ {
+		if i == 64 {
+			t.Fatal("no world name placed on each shard")
+		}
+		name := fmt.Sprintf("w-full-%d", i)
+		if owner := h.ownerOf(t, "world:"+name); names[owner] == "" {
+			names[owner] = name
+		}
+	}
+	epochs := map[string]int{}
+	for i, sh := range h.shards {
+		name := names[sh]
+		body := fmt.Sprintf(`{"name":%q,"schedule":{"kind":"markov","p_down":0.05,"p_up":0.5,"seed":13}}`, name)
+		if cc, cb, _ := doRaw(t, sh.ts.URL, "POST", "/v1/worlds", body); cc != http.StatusCreated {
+			t.Fatalf("create world %s: %d %s", name, cc, cb)
+		}
+		epochs[name] = 3 + i
+		adv := fmt.Sprintf(`{"epochs":%d}`, epochs[name])
+		if cc, cb, _ := doRaw(t, sh.ts.URL, "POST", "/v1/worlds/"+name+"/advance", adv); cc != http.StatusOK {
+			t.Fatalf("advance %s: %d %s", name, cc, cb)
+		}
+	}
+
+	drained, survivor := h.shards[0], h.shards[1]
+	drained.srv.BeginDrain()
+	if n := drained.srv.cluster.migrationErrs.Value(); n != 0 {
+		t.Fatalf("drain counted %d migration errors", n)
+	}
+	if n := drained.srv.worlds.Len(); n != 0 {
+		t.Fatalf("drained shard still holds %d worlds", n)
+	}
+	for _, name := range names {
+		cc, cb, _ := doRaw(t, survivor.ts.URL, "GET", "/v1/worlds/"+name, "")
+		if cc != http.StatusOK {
+			t.Fatalf("world %s on the survivor: %d %s", name, cc, cb)
+		}
+		var info worldInfo
+		if err := json.Unmarshal(cb, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Epoch != epochs[name] {
+			t.Fatalf("world %s on the survivor at epoch %d, want %d", name, info.Epoch, epochs[name])
+		}
+	}
+	if cc, cb, _ := doRaw(t, survivor.ts.URL, "POST", "/v1/worlds", `{"name":"w-more"}`); cc != http.StatusTooManyRequests {
+		t.Fatalf("client create past the bound after the drain: %d %s, want 429", cc, cb)
+	}
+}
+
 // TestClusterRefusesUnreplayableWorld: a cluster refuses a world whose
 // schedule does not replay ("adversary" follows the walks in flight), on
 // create through any shard and on migration, because it could not move

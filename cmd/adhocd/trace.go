@@ -16,9 +16,10 @@ import (
 // request by default: a sampled walk round records no hop as it walks and
 // hands its span a copy of its stepper when it ends. The flight recorder
 // retains only the slow and failed traces, and only those rebuild their
-// hop tails, each round rewinding its copy by at most one hop ring and
-// re-walking that ring (256 hops each way at the default ring) however
-// long the walk ran; steady-state traffic costs span bookkeeping only.
+// hop tails, each round rewinding its copy by at most one hop ring (256
+// hops at the default ring) and recording the hops it passes back over,
+// however long the walk ran; steady-state traffic costs span bookkeeping
+// only.
 const (
 	defaultTraceSample   = 1.0
 	defaultTraceSlow     = 100 * time.Millisecond

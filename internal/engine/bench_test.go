@@ -246,7 +246,9 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 // (sample rate 1, 100ms retention). No query here runs 100ms, so Finish
 // drops every trace and no round replays its hop tail: traced prices span
 // bookkeeping and the replay logs. CI fails when traced exceeds 1.5x
-// untraced; run it at -benchtime 64x, one pass over the pairs.
+// untraced; run it at -benchtime 64x, one pass over the pairs. kept keeps
+// every trace (SlowThreshold 0), so each round also rebuilds its hop tail:
+// it prices the replay and has no bound.
 func BenchmarkTracedLongRoute(b *testing.B) {
 	const n = 1024
 	e, err := Compile(gen.UDG2D(n, 0.06, 1).G, Config{Seed: 7})
@@ -271,13 +273,17 @@ func BenchmarkTracedLongRoute(b *testing.B) {
 			route(b, ctx, i)
 		}
 	})
-	b.Run("traced", func(b *testing.B) {
-		tc := trace.New(trace.Config{SampleRate: 1, SlowThreshold: 100 * time.Millisecond})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := tc.StartRequest("http", "")
-			route(b, trace.NewContext(context.Background(), tr.Root()), i)
-			tr.Finish()
+	traced := func(slow time.Duration) func(*testing.B) {
+		return func(b *testing.B) {
+			tc := trace.New(trace.Config{SampleRate: 1, SlowThreshold: slow})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := tc.StartRequest("http", "")
+				route(b, trace.NewContext(context.Background(), tr.Root()), i)
+				tr.Finish()
+			}
 		}
-	})
+	}
+	b.Run("traced", traced(100*time.Millisecond))
+	b.Run("kept", traced(0))
 }

@@ -10,9 +10,17 @@ import (
 	"repro/internal/prng"
 )
 
-// walkEveryHop is a no-op hop sink: attached, it makes Run walk every
-// backward hop instead of taking the walk back in one move.
-func walkEveryHop(graph.NodeID, int64, bool) {}
+// stepRun is Run(limit) one activation at a time, so it walks every
+// backward hop instead of taking the walk back in one move: limit Steps,
+// or fewer when the round ends first.
+func stepRun(st *flatgraph.RouteStepper, limit int64) bool {
+	for n := int64(0); limit < 0 || n < limit; n++ {
+		if st.Step() {
+			return true
+		}
+	}
+	return st.Run(0)
+}
 
 // sameRun fails unless two steppers agree on what Run returned, where
 // they stand, their header, Outcome (peak included), Turn and Err.
@@ -32,9 +40,9 @@ func sameRun(t *testing.T, label string, a, b *flatgraph.RouteStepper, da, db bo
 // checks the limits around its backward walk to the delivery at index j:
 // a limit of I−j walks back and parks undone at j, delivering on the next
 // call without another hop, as the walk always has; a limit of I−j+1 (or
-// none) takes the walk back in one move. All end where a stepper with a
-// hop sink, which walks every hop, ends, and a delivered round rewinds
-// and re-walks the same hops whichever way it got there.
+// none) takes the walk back in one move. All end where the round stepped
+// one activation at a time, which walks every hop, ends, and a delivered
+// round rewinds over the same hops whichever way it got there.
 func TestBackwardWalkLimitEdge(t *testing.T) {
 	g := gen.Grid(4, 4)
 	g.ShuffleLabels(2)
@@ -47,12 +55,8 @@ func TestBackwardWalkLimitEdge(t *testing.T) {
 		if err := st.Reset(f, entry, 0, 0, dst, seq, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
-		walked := st
-		var hops []hop
-		walked.Instrument(recorder(&hops))
-		if !walked.Run(-1) || walked.Err() != nil || walked.Computed() != 0 {
-			t.Fatalf("dst %d: the walked round ended with err %v, computed %d", dst, walked.Err(), walked.Computed())
-		}
+		hops, stops := stepHops(t, f, st)
+		walked := stops[len(stops)-1]
 		var forward int64
 		for _, h := range hops {
 			if !h.backward {
@@ -89,8 +93,8 @@ func TestBackwardWalkLimitEdge(t *testing.T) {
 			}
 			for _, back := range []int64{1, 2, turn - j, turn - j + 1, int64(len(hops))} {
 				a, b := long, walked
-				a.Rewind(back)
-				b.Rewind(back)
+				a.Rewind(back, nil)
+				b.Rewind(back, nil)
 				sameRun(t, fmt.Sprintf("%s limit %d rewound %d", label, limit, back), &a, &b, false, false)
 				checkRewind(t, fmt.Sprintf("%s limit %d", label, limit), long, back, stateOf(&b), hops[int64(len(hops))-back:])
 			}
@@ -102,7 +106,7 @@ func TestBackwardWalkLimitEdge(t *testing.T) {
 // sequence of the same seed at its turnaround, as package route's jump
 // does, and hands it the failed round's delivery with Inherit. Run then
 // takes its walk back in one move and must end exactly as the longer
-// round walked from the entry ends; the peak is the whole walk's once
+// round stepped from the entry ends; the peak is the whole walk's once
 // the failed round's is included.
 func TestInheritedRecord(t *testing.T) {
 	g := gen.Grid(4, 4)
@@ -120,8 +124,7 @@ func TestInheritedRecord(t *testing.T) {
 		if err := fresh.Reset(f, entry, 0, 0, dst, long, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
-		fresh.Instrument(walkEveryHop)
-		fresh.Run(-1)
+		stepRun(&fresh, -1)
 		last.Run(-1)
 		tn, tp, ok := last.Turn()
 		if !ok || last.Err() != nil || fresh.Err() != nil {
@@ -150,10 +153,11 @@ func TestInheritedRecord(t *testing.T) {
 // a destination that may be absent, at a random stop of its walk (stop 0
 // is the source's entry; later ones re-arm the walk's state there, as a
 // cursor does), and runs it in random segments — short, long or
-// unlimited — beside a twin whose no-op hop sink makes it walk every
-// backward hop. After every Run the two must agree on the return value,
-// position, index, direction, Outcome and Turn. Inherited records are left
-// out: their per-round peak differs by design.
+// unlimited — beside a twin that runs each segment one activation at a
+// time, which walks every backward hop. After every segment the two must
+// agree on the return value, position, index, direction, Outcome and
+// Turn. Inherited records are left out: their per-round peak differs by
+// design.
 func FuzzBackwardWalk(f *testing.F) {
 	f.Add(uint64(1), uint64(3), uint16(5), uint16(0), uint64(1))
 	f.Add(uint64(7), uint64(9), uint16(999), uint16(0), uint64(2))
@@ -174,18 +178,15 @@ func FuzzBackwardWalk(f *testing.F) {
 			t.Fatal(err)
 		}
 		whole := st
-		whole.Instrument(walkEveryHop)
-		whole.Run(-1)
+		stepRun(&whole, -1)
 		k := int64(stop) % (whole.Hops() + 1)
 		probe := st
-		probe.Instrument(walkEveryHop)
-		probe.Run(k)
+		stepRun(&probe, k)
 		at := stateOf(&probe)
 		if err := st.Reset(fg, at.node, at.inPort, 0, target, seq, at.index, at.backward, at.success); err != nil {
 			t.Fatal(err)
 		}
 		twin := st
-		twin.Instrument(walkEveryHop)
 		r := prng.New(limits)
 		for call := 0; ; call++ {
 			if call == 1<<12 {
@@ -198,7 +199,7 @@ func FuzzBackwardWalk(f *testing.F) {
 			case 1:
 				limit = int64(r.Intn(2*seq.Length + 2))
 			}
-			da, db := st.Run(limit), twin.Run(limit)
+			da, db := st.Run(limit), stepRun(&twin, limit)
 			sameRun(t, fmt.Sprintf("armed at stop %d, call %d, limit %d", k, call, limit), &st, &twin, da, db)
 			if da {
 				break

@@ -30,10 +30,11 @@
 // Run skip a round's backward walk, which only retraces the forward walk
 // back to its last visit to a gadget of the source: the forward loop
 // records that visit and what the walk back would meter, and Run moves
-// the stepper straight to the delivered state at the turnaround unless a
-// hop sink watches or the limit stops the walk back first. It also lets
-// RouteStepper.Rewind walk a stepper back: package route rebuilds a
-// sampled round's hop tail that way. CoverWalk is the unmetered local walk
+// the stepper straight to the delivered state at the turnaround unless the
+// limit stops the walk back first. It also lets RouteStepper.Rewind walk a
+// stepper back, reporting each hop it passes over, newest first: package
+// route builds a kept round's hop tail from that alone, so Run has no hop
+// observer and behaves one way. CoverWalk is the unmetered local walk
 // behind route.Cover, which runs the §4 closure check of every failed
 // round the component index does not decide, broadcast, and ModeLocal
 // counting round.

@@ -11,7 +11,7 @@ import (
 	"repro/internal/ues"
 )
 
-// hop is one notification of a stepper's hop sink.
+// hop is one hop of a walk, as the state it left the walk in.
 type hop struct {
 	node     graph.NodeID
 	index    int64
@@ -23,6 +23,28 @@ func recorder(hops *[]hop) flatgraph.HopSink {
 	return func(node graph.NodeID, index int64, backward bool) {
 		*hops = append(*hops, hop{node, index, backward})
 	}
+}
+
+// stepHops steps a copy of st on f one activation at a time to the end of
+// its round. It returns the hops the walk made, each read from the stepper
+// after it, and the stepper at every stop: stops[k] stands where the walk
+// stood after k hops, and the last one is the ended round. A Step never
+// computes the walk back, which is at least one hop long.
+func stepHops(t *testing.T, f *flatgraph.Graph, st flatgraph.RouteStepper) ([]hop, []flatgraph.RouteStepper) {
+	t.Helper()
+	var hops []hop
+	stops := []flatgraph.RouteStepper{st}
+	for !st.Step() {
+		node, _ := st.Position()
+		hops = append(hops, hop{f.OriginalOf(node), st.Index(), st.Backward()})
+		stops = append(stops, st)
+	}
+	if st.Err() != nil || st.Computed() != 0 || st.Hops() != int64(len(hops)) {
+		t.Fatalf("stepped round ended with err %v, %d computed hops, %d hops for %d recorded",
+			st.Err(), st.Computed(), st.Hops(), len(hops))
+	}
+	stops[len(stops)-1] = st
+	return hops, stops
 }
 
 // state is a stepper's walk state without its metering.
@@ -37,35 +59,37 @@ func stateOf(st *flatgraph.RouteStepper) state {
 	return state{node, inPort, st.Index(), st.Backward(), st.Success()}
 }
 
-// checkRewind rewinds a copy of st by j hops, checks it stands where the
-// walk stood j hops earlier (want), then re-runs j hops and checks they
-// are the recorded ones and end where st stands.
+// checkRewind rewinds a copy of st by j hops and checks that it reported
+// the recorded hops, newest first, and stands where the walk stood j hops
+// earlier (want); Run(j) then ends where st stands.
 func checkRewind(t *testing.T, label string, st flatgraph.RouteStepper, j int64, want state, hops []hop) {
 	t.Helper()
-	end := stateOf(&st)
-	st.Rewind(j)
+	end, total := stateOf(&st), st.Hops()
+	var back []hop
+	st.Rewind(j, recorder(&back))
+	slices.Reverse(back)
+	if !slices.Equal(back, hops) {
+		t.Fatalf("%s: Rewind(%d) reported %v newest first, want %v oldest first", label, j, back, hops)
+	}
 	if got := stateOf(&st); got != want {
 		t.Fatalf("%s: Rewind(%d) stands at %+v, want %+v", label, j, got, want)
 	}
-	var again []hop
-	st.Instrument(recorder(&again))
 	st.Run(j)
-	if !slices.Equal(again, hops) {
-		t.Fatalf("%s: Run(%d) after Rewind(%d) emitted %v, want %v", label, j, j, again, hops)
-	}
-	if got := stateOf(&st); got != end {
-		t.Fatalf("%s: Run(%d) after Rewind(%d) ends at %+v, want %+v", label, j, j, got, end)
+	if got := stateOf(&st); got != end || st.Hops() != total {
+		t.Fatalf("%s: Run(%d) after Rewind(%d) ends at %+v after %d hops, want %+v after %d",
+			label, j, j, got, st.Hops(), end, total)
 	}
 }
 
-// TestRewindReplaysHops records whole route rounds — one that finds its
+// TestRewindReplaysHops steps whole route rounds — one that finds its
 // destination and one that runs out of sequence — and checks Rewind at
-// every stop k and several j ≤ k: the stepper stands where the walk stood
-// at k−j, and Run(j) re-emits hops k−j..k−1. Stops in the backward phase
-// rewind across the turnaround, the last stop rewinds a delivered round,
-// and steppers armed partway along the forward walk rewind past where they
-// were armed. Every rewound forward hop is also checked against the
-// reference inverse ues.StepBack on the work graph.
+// every stop k and several j ≤ k: it reports hops k−1..k−j, newest first,
+// and stands where the walk stood at k−j, and Run(j) ends where the rewind
+// began. Stops in the backward phase rewind across the turnaround, the
+// last stop rewinds a delivered round, and steppers armed partway along
+// the forward walk rewind past where they were armed. Every rewound
+// forward hop is also checked against the reference inverse ues.StepBack
+// on the work graph.
 func TestRewindReplaysHops(t *testing.T) {
 	g := gen.Grid(4, 4)
 	g.ShuffleLabels(2)
@@ -77,13 +101,12 @@ func TestRewindReplaysHops(t *testing.T) {
 
 	// The found round's destination: the first original node the walk
 	// reaches past a third of the sequence.
-	var fwd []hop
 	var probe flatgraph.RouteStepper
 	if err := probe.Reset(f, entry, 0, 0, 9999, seq, 1, false, false); err != nil {
 		t.Fatal(err)
 	}
-	probe.Instrument(recorder(&fwd))
-	probe.Run(int64(seq.Length))
+	fwd, _ := stepHops(t, f, probe)
+	fwd = fwd[:seq.Length]
 	dst := graph.NodeID(-1)
 	for i, h := range fwd {
 		if i >= seq.Length/3 && !slices.ContainsFunc(fwd[:i], func(e hop) bool { return e.node == h.node }) {
@@ -100,23 +123,13 @@ func TestRewindReplaysHops(t *testing.T) {
 		if err := st.Reset(f, entry, 0, 0, dst, seq, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
-		var hops []hop
-		st.Instrument(recorder(&hops))
-		steppers := []flatgraph.RouteStepper{st}
-		for !st.Step() {
-			steppers = append(steppers, st)
-		}
-		if st.Err() != nil {
-			t.Fatal(st.Err())
-		}
-		steppers[len(steppers)-1] = st // the delivered round
-		if st.Success() != (dst != 9999) || int(st.Hops()) != len(hops) || len(steppers) != len(hops)+1 {
-			t.Fatalf("dst %d: success %v after %d hops, %d recorded", dst, st.Success(), st.Hops(), len(hops))
+		hops, steppers := stepHops(t, f, st)
+		if end := steppers[len(steppers)-1]; end.Success() != (dst != 9999) {
+			t.Fatalf("dst %d: success %v after %d hops", dst, end.Success(), end.Hops())
 		}
 		turned := false
 		for k := range steppers {
 			sk := steppers[k]
-			sk.Instrument(nil)
 			for _, j := range []int{1, 2, 3, 7, 64, k} {
 				if j <= k {
 					checkRewind(t, fmt.Sprintf("dst %d stop %d", dst, k), sk, int64(j), stateOf(&steppers[k-j]), hops[k-j:k])
@@ -134,7 +147,7 @@ func TestRewindReplaysHops(t *testing.T) {
 					t.Fatal(err)
 				}
 				prev := sk
-				prev.Rewind(1)
+				prev.Rewind(1, nil)
 				if node, inPort := prev.Position(); graph.NodeID(node) != back.Node || int(inPort) != back.InPort {
 					t.Fatalf("dst %d stop %d: rewound to (%d,%d), ues.StepBack to (%d,%d)",
 						dst, k, node, inPort, back.Node, back.InPort)
@@ -164,10 +177,11 @@ func TestRewindReplaysHops(t *testing.T) {
 	}
 }
 
-// FuzzRewind walks a route round on a random unit-disk graph toward a
+// FuzzRewind steps a route round on a random unit-disk graph toward a
 // destination that may be absent, stops a second run of it at hop k, and
-// checks that Rewind(j) for j ≤ k stands where the walk stood at k−j and
-// that Run(j) then re-emits the recorded hops k−j..k−1.
+// checks that Rewind(j) for j ≤ k reports the stepped hops k−1..k−j,
+// newest first, and stands where the walk stood at k−j, and that Run(j)
+// then ends where the rewind began.
 func FuzzRewind(f *testing.F) {
 	f.Add(uint64(1), uint64(3), uint16(5), uint16(40), uint16(40))
 	f.Add(uint64(7), uint64(9), uint16(999), uint16(500), uint16(120))
@@ -183,13 +197,7 @@ func FuzzRewind(f *testing.F) {
 		if err := st.Reset(fg, entry, 0, 0, graph.NodeID(int(dst)%(n+4)), seq, 1, false, false); err != nil {
 			t.Fatal(err)
 		}
-		var hops []hop
-		whole := st
-		whole.Instrument(recorder(&hops))
-		whole.Run(-1)
-		if whole.Err() != nil {
-			t.Fatal(whole.Err())
-		}
+		hops, _ := stepHops(t, fg, st)
 		stop := int64(k) % int64(len(hops)+1)
 		back := int64(j) % (stop + 1)
 		at := st

@@ -52,7 +52,6 @@ type RouteStepper struct {
 	// memory peak and the largest header index of a forward activation.
 	peak     int
 	maxIndex int64
-	sink     HopSink
 
 	// dirs holds the prefetched symbols T[dirBase, dirBase+dirLen), shared
 	// by every segment and step of the round.
@@ -61,14 +60,11 @@ type RouteStepper struct {
 	dirLen  int64
 }
 
-// HopSink receives one notification per hop: the original-graph node the
-// message stands at after the hop, the header index as it leaves that
-// activation, and the walk direction. Called inline from the hop loop —
-// keep it allocation-free.
+// HopSink receives one hop of a walk as the state the hop left the walk
+// in: the original-graph node the message stood at after the hop, the
+// header index it carried there, and the walk direction. Rewind calls it
+// inline — keep it allocation-free.
 type HopSink func(node graph.NodeID, index int64, backward bool)
-
-// Instrument attaches a hop sink (nil detaches it).
-func (st *RouteStepper) Instrument(sink HopSink) { st.sink = sink }
 
 // Reset re-arms st as a round of f standing at (node, inPort) with the
 // given header state — the index into the sequence, the direction, and the
@@ -112,12 +108,12 @@ func (st *RouteStepper) Step() bool { return st.Run(1) }
 // reaches a gadget of src, so it ends at the forward walk's last visit to
 // one, and at forward index k it charges the forward activation's charge
 // with the exit port in place of the arrival port. The forward loop keeps
-// that record; at the turnaround, when it exists, no sink is attached and
-// the limit covers the backward hops with room to spare, Run moves the
-// stepper straight to the delivered state with the hops and peak the walk
-// back would have produced. Otherwise it walks back hop by hop. A walk
-// back that the limit ends exactly at the record parks there undone, as
-// it always has, so Step never takes the shortcut.
+// that record; at the turnaround, when it exists and the limit covers the
+// backward hops with room to spare, Run moves the stepper straight to the
+// delivered state with the hops and peak the walk back would have
+// produced. Otherwise it walks back hop by hop. A walk back that the limit
+// ends exactly at the record parks there undone, as it always has, so Step
+// never takes the shortcut.
 func (st *RouteStepper) Run(limit int64) bool {
 	if st.done {
 		return true
@@ -131,7 +127,6 @@ func (st *RouteStepper) Run(limit int64) bool {
 		seq    = st.seq
 		src    = st.src
 		dst    = st.dst
-		sink   = st.sink
 		dirs   = &st.dirs
 		node   = st.node
 		inPort = st.inPort
@@ -168,7 +163,7 @@ func (st *RouteStepper) Run(limit int64) bool {
 				if !found {
 					st.turn = node*3 + inPort + 1
 				}
-				if rec, back := st.rec, i-st.recIndex; rec != 0 && sink == nil && hops+back < stop {
+				if rec, back := st.rec, i-st.recIndex; rec != 0 && hops+back < stop {
 					// The walk back would deliver on the record, back hops on.
 					st.done = true
 					st.park((rec-1)/3, (rec-1)%3, st.recIndex, hops+back, max(peak, recPeak), base, blen)
@@ -179,9 +174,6 @@ func (st *RouteStepper) Run(limit int64) bool {
 				h := f.halves[node*3+inPort]
 				node, inPort = h.To, h.Port
 				hops++
-				if sink != nil {
-					sink(f.orig[node], i, true)
-				}
 				break
 			}
 			if i >= base+blen {
@@ -208,9 +200,6 @@ func (st *RouteStepper) Run(limit int64) bool {
 			node, inPort = h.To, h.Port
 			i++
 			hops++
-			if sink != nil {
-				sink(f.orig[node], i, false)
-			}
 		}
 	}
 	// Backward phase: undo steps until any node simulating src is reached.
@@ -250,9 +239,6 @@ func (st *RouteStepper) Run(limit int64) bool {
 		node, inPort = h.To, h.Port
 		i--
 		hops++
-		if sink != nil {
-			sink(f.orig[node], i, true)
-		}
 	}
 }
 
@@ -267,22 +253,26 @@ func (st *RouteStepper) Inherit(node, exit int32, index int64) {
 	st.rec, st.recIndex, st.recPeak = node*3+exit+1, index, 0
 }
 
-// Rewind moves the stepper n hops back along its own walk. Exploration
+// Rewind moves the stepper n hops back along its own walk, handing sink
+// (when non-nil) each hop it passes back over, newest first, so a caller
+// that kept only the stepper can report a walk's last hops. Exploration
 // sequences are reversible (§2, prev_v): the arrival half-edge leads back
 // to where the hop left from, and the symbol the hop consumed gives the
 // port it arrived on there. The turnaround is the backward state whose
-// index is one below the round's largest forward index. Rewind(n) followed
-// by Run(n) walks the same n hops again, so a caller that kept only the
-// stepper can re-emit a walk's last hops into a sink; a backward walk Run
-// took in one move rewinds like a walked one. It may go back past the
-// position the stepper was armed at, but only along the round's forward
-// walk, which the sequence alone determines. Metering peaks are kept; a
-// terminated round is no longer done, its error is cleared, and the
-// record of its last visit to src is dropped.
-func (st *RouteStepper) Rewind(n int64) {
+// index is one below the round's largest forward index. Run(n) after
+// Rewind(n) walks the same n hops again; a backward walk Run took in one
+// move rewinds like a walked one. It may go back past the position the
+// stepper was armed at, but only along the round's forward walk, which the
+// sequence alone determines. Metering peaks are kept; a terminated round
+// is no longer done, its error is cleared, and the record of its last
+// visit to src is dropped.
+func (st *RouteStepper) Rewind(n int64, sink HopSink) {
 	f, seq := st.f, st.seq
 	node, inPort, i := st.node, st.inPort, st.index
 	for range n {
+		if sink != nil {
+			sink(f.orig[node], i, st.backward)
+		}
 		h := f.halves[node*3+inPort]
 		node = h.To
 		switch {

@@ -57,6 +57,9 @@ type WorldEntry struct {
 // Worlds is the bounded table of named worlds. Unlike the engine LRU,
 // worlds are stateful (they have evolved), so they are never silently
 // evicted: creation beyond the bound fails and clients delete explicitly.
+// The bound limits what clients create; a world migrating in from another
+// shard is admitted past it, since the shard it leaves has nowhere else to
+// put it.
 type Worlds struct {
 	mu    sync.Mutex
 	limit int
@@ -104,8 +107,8 @@ func validWorldName(name string) bool {
 }
 
 // admitLocked is the shared gate for Create and Precheck: name rules,
-// duplicates, then capacity.
-func (ws *Worlds) admitLocked(name string) error {
+// duplicates, then capacity when bounded.
+func (ws *Worlds) admitLocked(name string, bounded bool) error {
 	if name != "" {
 		if !validWorldName(name) {
 			return fmt.Errorf("%w: %q (want 1-64 chars of [A-Za-z0-9_-])", ErrBadWorldName, name)
@@ -114,28 +117,30 @@ func (ws *Worlds) admitLocked(name string) error {
 			return fmt.Errorf("%w: %q", ErrWorldExists, name)
 		}
 	}
-	if len(ws.m) >= ws.limit {
+	if bounded && len(ws.m) >= ws.limit {
 		return fmt.Errorf("%w: %d worlds resident (delete one first)", ErrWorldCapacity, len(ws.m))
 	}
 	return nil
 }
 
-// Precheck reports whether Create(name, …) would currently be admitted,
-// without reserving anything. The serving layer calls it before paying
-// for world construction (a full graph clone); Create remains the
+// Precheck reports whether Create(name, …, bounded) would currently be
+// admitted, without reserving anything. The serving layer calls it before
+// paying for world construction (a full graph clone); Create remains the
 // authoritative check.
-func (ws *Worlds) Precheck(name string) error {
+func (ws *Worlds) Precheck(name string, bounded bool) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return ws.admitLocked(name)
+	return ws.admitLocked(name, bounded)
 }
 
 // Create registers ent under name (empty = a generated "w<n>" ID) and
-// returns it with ID and ordering filled in.
-func (ws *Worlds) Create(name string, ent *WorldEntry) (*WorldEntry, error) {
+// returns it with ID and ordering filled in. A bounded create fails with
+// ErrWorldCapacity when the table is full; an unbounded one, for a world
+// migrating in, does not.
+func (ws *Worlds) Create(name string, ent *WorldEntry, bounded bool) (*WorldEntry, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if err := ws.admitLocked(name); err != nil {
+	if err := ws.admitLocked(name, bounded); err != nil {
 		return nil, err
 	}
 	if name == "" {

@@ -79,10 +79,11 @@ type Walker struct {
 // reversible (§2, prev_v), so a sampled round walks exactly as an unsampled
 // one and records no hop as it walks it. When the round's span ends, the
 // span takes the log (trace.Span.Tail); only if the trace is kept does
-// replay rewind a copy of the stepper by the last ring of hops and re-walk
-// them. A re-entry moves the message to another snapshot, and a rewind
-// cannot cross it, so the log keeps the stepper each time the round leaves
-// a snapshot; each copy carries its own immutable snapshot.
+// replay rewind the copies of the stepper by the last ring of hops, which
+// it reports as it passes back over them. A re-entry moves the message to
+// another snapshot, and a rewind cannot cross it, so the log keeps the
+// stepper each time the round leaves a snapshot; each copy carries its own
+// immutable snapshot.
 type hopLog struct {
 	ring  int64                    // the span's hop ring capacity
 	total int64                    // hops the round's span counts, skipped ones included
@@ -116,13 +117,12 @@ func (l *hopLog) leave(st *flatgraph.RouteStepper) {
 	l.parts = l.parts[:n]
 }
 
-// replay emits the round's last ring of hops into hop, oldest first: it
-// rewinds the newest steppers the last ring reaches — the oldest of them by
-// whatever hops remain, past where it was armed if the round skipped them —
-// and re-walks the ring from them with a sink attached. It consumes the
+// replay emits the round's last ring of hops into hop, newest first,
+// straight from rewinding the steppers it kept, the newest first and each
+// by its own hops, until the ring is full. Only the oldest may rewind past
+// where it was armed, into the hops the round skipped. It consumes the
 // log.
 func (l *hopLog) replay(hop func(trace.HopEvent), s, t graph.NodeID) {
-	emit := min(l.total, l.ring)
 	sink := func(node graph.NodeID, index int64, backward bool) {
 		hop(trace.HopEvent{
 			Node:       int64(node),
@@ -131,20 +131,14 @@ func (l *hopLog) replay(hop func(trace.HopEvent), s, t graph.NodeID) {
 			Backward:   backward,
 		})
 	}
-	first, rest := len(l.parts), emit
-	for first > 0 && rest > 0 {
-		first--
-		rest -= l.parts[first].Hops()
-	}
-	for k := first; k < len(l.parts); k++ {
-		st := &l.parts[k]
-		n := st.Hops()
-		if k == first {
-			n += rest
+	rest := min(l.total, l.ring)
+	for k := len(l.parts) - 1; k >= 0 && rest > 0; k-- {
+		n := rest
+		if k > 0 {
+			n = min(n, l.parts[k].Hops())
 		}
-		st.Rewind(n)
-		st.Instrument(sink)
-		st.Run(n)
+		l.parts[k].Rewind(n, sink)
+		rest -= n
 	}
 }
 

@@ -21,7 +21,8 @@
 // verdict, which for a slow walk is exactly the evidence worth keeping
 // (where the message was when the budget ran out), at O(1) memory however
 // long the walk ran. A walk hands its span a hop count and a replay that
-// can rebuild the tail (Span.Tail); nothing else is recorded per hop.
+// can rebuild the tail, newest first (Span.Tail); nothing else is recorded
+// per hop.
 //
 // # Sampling and retention
 //

@@ -348,7 +348,7 @@ func (sp *Span) Event(name string, attrs ...Attr) {
 }
 
 // Tail records that the span's walk made total hops and stores replay,
-// which must re-emit the last min(total, HopRing()) of them, oldest first,
+// which must re-emit the last min(total, HopRing()) of them, newest first,
 // into the hop function it is handed; it need not stamp their ordinals.
 // Finish runs replay only if it keeps the trace, so a walk pays for its hop
 // tail only when someone can read it, and a trace that is never finished
@@ -360,18 +360,20 @@ func (sp *Span) Tail(total int64, replay func(hop func(HopEvent))) {
 	sp.hopTotal, sp.replay = total, replay
 }
 
-// fillTail runs the span's replay into its hop tail, stamping each hop's
-// ordinal within the walk, and drops the replay with whatever it holds.
+// fillTail runs the span's replay into its hop tail from the tail's end,
+// stamping each hop's ordinal within the walk, and drops the replay with
+// whatever it holds.
 func (sp *Span) fillTail() {
 	if sp.replay == nil {
 		return
 	}
-	n := min(sp.hopTotal, int64(sp.HopRing()))
-	first := sp.hopTotal - n
-	sp.hops = make([]HopEvent, 0, n)
+	k := min(sp.hopTotal, int64(sp.HopRing()))
+	first := sp.hopTotal - k
+	sp.hops = make([]HopEvent, k)
 	sp.replay(func(ev HopEvent) {
-		ev.Hop = first + int64(len(sp.hops))
-		sp.hops = append(sp.hops, ev)
+		k--
+		ev.Hop = first + k
+		sp.hops[k] = ev
 	})
 	sp.replay = nil
 }

@@ -161,11 +161,11 @@ func TestRetentionPolicy(t *testing.T) {
 }
 
 // tail returns a replay that emits the hops of a walk whose nodes number
-// its hops, from hop first up to total, as a walker's replay emits the last
-// hops it made.
+// its hops, from hop total−1 down to first, as a walker's replay emits the
+// last hops it made: newest first.
 func tail(first, total int64) func(func(HopEvent)) {
 	return func(hop func(HopEvent)) {
-		for i := first; i < total; i++ {
+		for i := total - 1; i >= first; i-- {
 			hop(HopEvent{Node: i, Index: i + 1, HeaderBits: 24})
 		}
 	}
