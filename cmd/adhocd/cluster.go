@@ -311,15 +311,23 @@ func (c *clusterNode) handleGossip(w http.ResponseWriter, r *http.Request) {
 // handleMigrate serves POST /v1/cluster/migrate: rebuild the offered
 // world by replay — obtain the backing network (compiling it if this
 // shard never served it), then let buildWorld advance a fresh world to
-// the source's epoch and publish it once fully caught up, past the
-// -max-worlds bound if need be: refusing it would strand the world on a
-// shard that is shutting down.
+// the source's epoch and publish it once fully caught up. It admits the
+// world past -max-worlds, since refusing it would strand the world on a
+// shard that is shutting down, but only up to the bound once for every
+// shard this one has known, departed ones included: a drain hands over
+// what the leaving shard holds, and that may include the worlds of shards
+// that left before it. The endpoint is unauthenticated, so that ceiling
+// is what bounds the worlds it can add.
 func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if limit := c.s.maxBody; limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
 	var p migratePayload
 	if !decodeBody(w, r, &p) {
+		return
+	}
+	if p.Name == "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "a migrated world needs its name"})
 		return
 	}
 	const maxMigrateEpochs = 1 << 20
@@ -342,7 +350,7 @@ func (c *clusterNode) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ent, ok := c.s.buildWorld(w, p.Name, net, p.Schedule, p.Epochs, false)
+	ent, ok := c.s.buildWorld(w, p.Name, net, p.Schedule, p.Epochs, len(c.gossip.Membership().Snapshot()))
 	if !ok {
 		return
 	}

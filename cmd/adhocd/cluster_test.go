@@ -595,7 +595,9 @@ func TestClusterDrainReplaysWorldOfEvictedNetwork(t *testing.T) {
 // TestClusterDrainPastWorldLimit: a drain hands a world to a new owner
 // that is already at its -max-worlds bound, because the bound limits what
 // clients create, not the worlds the cluster holds; a client create at the
-// bound is still refused.
+// bound is still refused, and the migration endpoint stops at the bound
+// once per shard the owner has known, so a direct POST to it past that
+// ceiling is refused too.
 func TestClusterDrainPastWorldLimit(t *testing.T) {
 	h := newTestClusterWith(t, 2, serverConfig{maxWorlds: 1})
 	names := map[*clusterShard]string{}
@@ -645,6 +647,16 @@ func TestClusterDrainPastWorldLimit(t *testing.T) {
 	}
 	if cc, cb, _ := doRaw(t, survivor.ts.URL, "POST", "/v1/worlds", `{"name":"w-more"}`); cc != http.StatusTooManyRequests {
 		t.Fatalf("client create past the bound after the drain: %d %s, want 429", cc, cb)
+	}
+	// The survivor has known two shards, so two worlds is its ceiling.
+	if cc, cb, _ := doRaw(t, survivor.ts.URL, "POST", migratePath, `{"name":"w-more","schedule":{"kind":"static"}}`); cc != http.StatusTooManyRequests {
+		t.Fatalf("migration past the ceiling: %d %s, want 429", cc, cb)
+	}
+	if cc, cb, _ := doRaw(t, survivor.ts.URL, "POST", migratePath, `{"schedule":{"kind":"static"}}`); cc != http.StatusBadRequest {
+		t.Fatalf("nameless migration: %d %s, want 400", cc, cb)
+	}
+	if n := survivor.srv.worlds.Len(); n != 2 {
+		t.Fatalf("survivor holds %d worlds, want 2", n)
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *server) handleWorldCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if ent, ok := s.buildWorld(w, req.Name, net, req.Schedule, 0, true); ok {
+	if ent, ok := s.buildWorld(w, req.Name, net, req.Schedule, 0, 1); ok {
 		writeJSON(w, http.StatusCreated, worldInfoOf(ent))
 	}
 }
@@ -110,12 +110,12 @@ func (s *server) handleWorldCreate(w http.ResponseWriter, r *http.Request) {
 // seeded from (nil = the boot network), its schedule, and how many epochs
 // it has run — and registers it under name once it has caught up, so no
 // request sees it mid-replay. Every named world is built here: created
-// (0 epochs, bounded by -max-worlds) or migrated from another shard
-// (admitted past the bound, since a draining shard has nowhere else to
-// put it). It answers the error itself when it fails. In cluster mode it
-// refuses a schedule that does not replay, since such a world could not
-// move to another shard.
-func (s *server) buildWorld(w http.ResponseWriter, name string, net *registry.Entry, spec dynamic.Spec, epochs int, bounded bool) (*registry.WorldEntry, bool) {
+// (0 epochs) or migrated from another shard. The table admits it while it
+// holds fewer than -max-worlds worlds for each of shards (see
+// registry.Worlds.Create). It answers the error itself when it fails. In
+// cluster mode it refuses a schedule that does not replay, since such a
+// world could not move to another shard.
+func (s *server) buildWorld(w http.ResponseWriter, name string, net *registry.Entry, spec dynamic.Spec, epochs, shards int) (*registry.WorldEntry, bool) {
 	sched, err := spec.Build()
 	if err == nil && s.cluster != nil && !spec.Replays() {
 		err = fmt.Errorf("schedule %q does not replay (its epochs follow the walks in flight), so a cluster cannot move its world between shards", spec.Kind)
@@ -124,10 +124,10 @@ func (s *server) buildWorld(w http.ResponseWriter, name string, net *registry.En
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return nil, false
 	}
-	// Refuse doomed creates (bad name, duplicate, table full when
-	// bounded) before paying for the world clone; the Create below
-	// re-checks authoritatively.
-	if err := s.worlds.Precheck(name, bounded); err != nil {
+	// Refuse doomed creates (bad name, duplicate, table full) before
+	// paying for the world clone; the Create below re-checks
+	// authoritatively.
+	if err := s.worlds.Precheck(name, shards); err != nil {
 		writeWorldCreateErr(w, err)
 		return nil, false
 	}
@@ -143,7 +143,7 @@ func (s *server) buildWorld(w http.ResponseWriter, name string, net *registry.En
 			return nil, false
 		}
 	}
-	ent, err := s.worlds.Create(name, &registry.WorldEntry{Network: netSpec, Schedule: spec, Eng: eng, W: world}, bounded)
+	ent, err := s.worlds.Create(name, &registry.WorldEntry{Network: netSpec, Schedule: spec, Eng: eng, W: world}, shards)
 	if err != nil {
 		writeWorldCreateErr(w, err)
 		return nil, false

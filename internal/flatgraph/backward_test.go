@@ -93,8 +93,8 @@ func TestBackwardWalkLimitEdge(t *testing.T) {
 			}
 			for _, back := range []int64{1, 2, turn - j, turn - j + 1, int64(len(hops))} {
 				a, b := long, walked
-				a.Rewind(back, nil)
-				b.Rewind(back, nil)
+				a.Rewind(back, ignoreHops)
+				b.Rewind(back, ignoreHops)
 				sameRun(t, fmt.Sprintf("%s limit %d rewound %d", label, limit, back), &a, &b, false, false)
 				checkRewind(t, fmt.Sprintf("%s limit %d", label, limit), long, back, stateOf(&b), hops[int64(len(hops))-back:])
 			}

@@ -25,6 +25,9 @@ func recorder(hops *[]hop) flatgraph.HopSink {
 	}
 }
 
+// ignoreHops is the sink of a rewind whose hops a test does not check.
+func ignoreHops(graph.NodeID, int64, bool) {}
+
 // stepHops steps a copy of st on f one activation at a time to the end of
 // its round. It returns the hops the walk made, each read from the stepper
 // after it, and the stepper at every stop: stops[k] stands where the walk
@@ -147,7 +150,7 @@ func TestRewindReplaysHops(t *testing.T) {
 					t.Fatal(err)
 				}
 				prev := sk
-				prev.Rewind(1, nil)
+				prev.Rewind(1, ignoreHops)
 				if node, inPort := prev.Position(); graph.NodeID(node) != back.Node || int(inPort) != back.InPort {
 					t.Fatalf("dst %d stop %d: rewound to (%d,%d), ues.StepBack to (%d,%d)",
 						dst, k, node, inPort, back.Node, back.InPort)

@@ -254,15 +254,15 @@ func (st *RouteStepper) Inherit(node, exit int32, index int64) {
 }
 
 // Rewind moves the stepper n hops back along its own walk, handing sink
-// (when non-nil) each hop it passes back over, newest first, so a caller
-// that kept only the stepper can report a walk's last hops. Exploration
-// sequences are reversible (§2, prev_v): the arrival half-edge leads back
-// to where the hop left from, and the symbol the hop consumed gives the
-// port it arrived on there. The turnaround is the backward state whose
-// index is one below the round's largest forward index. Run(n) after
-// Rewind(n) walks the same n hops again; a backward walk Run took in one
-// move rewinds like a walked one. It may go back past the position the
-// stepper was armed at, but only along the round's forward walk, which the
+// each hop it passes back over, newest first, so a caller that kept only
+// the stepper can report a walk's last hops. Exploration sequences are
+// reversible (§2, prev_v): the arrival half-edge leads back to where the
+// hop left from, and the symbol the hop consumed gives the port it
+// arrived on there. The turnaround is the backward state whose index is
+// one below the round's largest forward index. Run(n) after Rewind(n)
+// walks the same n hops again; a backward walk Run took in one move
+// rewinds like a walked one. It may go back past the position the stepper
+// was armed at, but only along the round's forward walk, which the
 // sequence alone determines. Metering peaks are kept; a terminated round
 // is no longer done, its error is cleared, and the record of its last
 // visit to src is dropped.
@@ -270,9 +270,7 @@ func (st *RouteStepper) Rewind(n int64, sink HopSink) {
 	f, seq := st.f, st.seq
 	node, inPort, i := st.node, st.inPort, st.index
 	for range n {
-		if sink != nil {
-			sink(f.orig[node], i, st.backward)
-		}
+		sink(f.orig[node], i, st.backward)
 		h := f.halves[node*3+inPort]
 		node = h.To
 		switch {

@@ -58,8 +58,9 @@ type WorldEntry struct {
 // worlds are stateful (they have evolved), so they are never silently
 // evicted: creation beyond the bound fails and clients delete explicitly.
 // The bound limits what clients create; a world migrating in from another
-// shard is admitted past it, since the shard it leaves has nowhere else to
-// put it.
+// shard is admitted past it, up to the bound once for each shard whose
+// worlds may move here, since the shard it leaves has nowhere else to put
+// it.
 type Worlds struct {
 	mu    sync.Mutex
 	limit int
@@ -74,8 +75,8 @@ type Worlds struct {
 	recompFull  *obs.Histogram
 }
 
-// NewWorlds builds an empty world table holding at most limit worlds
-// (0 = DefaultWorldLimit).
+// NewWorlds builds an empty world table that clients may fill to limit
+// worlds (0 = DefaultWorldLimit); see Create for migrated worlds.
 func NewWorlds(limit int) *Worlds {
 	if limit <= 0 {
 		limit = DefaultWorldLimit
@@ -107,8 +108,8 @@ func validWorldName(name string) bool {
 }
 
 // admitLocked is the shared gate for Create and Precheck: name rules,
-// duplicates, then capacity when bounded.
-func (ws *Worlds) admitLocked(name string, bounded bool) error {
+// duplicates, then capacity: at most limit worlds for each of shards.
+func (ws *Worlds) admitLocked(name string, shards int) error {
 	if name != "" {
 		if !validWorldName(name) {
 			return fmt.Errorf("%w: %q (want 1-64 chars of [A-Za-z0-9_-])", ErrBadWorldName, name)
@@ -117,30 +118,31 @@ func (ws *Worlds) admitLocked(name string, bounded bool) error {
 			return fmt.Errorf("%w: %q", ErrWorldExists, name)
 		}
 	}
-	if bounded && len(ws.m) >= ws.limit {
+	if len(ws.m) >= ws.limit*shards {
 		return fmt.Errorf("%w: %d worlds resident (delete one first)", ErrWorldCapacity, len(ws.m))
 	}
 	return nil
 }
 
-// Precheck reports whether Create(name, …, bounded) would currently be
+// Precheck reports whether Create(name, …, shards) would currently be
 // admitted, without reserving anything. The serving layer calls it before
 // paying for world construction (a full graph clone); Create remains the
 // authoritative check.
-func (ws *Worlds) Precheck(name string, bounded bool) error {
+func (ws *Worlds) Precheck(name string, shards int) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return ws.admitLocked(name, bounded)
+	return ws.admitLocked(name, shards)
 }
 
 // Create registers ent under name (empty = a generated "w<n>" ID) and
-// returns it with ID and ordering filled in. A bounded create fails with
-// ErrWorldCapacity when the table is full; an unbounded one, for a world
-// migrating in, does not.
-func (ws *Worlds) Create(name string, ent *WorldEntry, bounded bool) (*WorldEntry, error) {
+// returns it with ID and ordering filled in. It fails with
+// ErrWorldCapacity once the table holds limit worlds for each of shards:
+// 1 for a client create, and for a world migrating in, every shard whose
+// worlds may be handed to this one.
+func (ws *Worlds) Create(name string, ent *WorldEntry, shards int) (*WorldEntry, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if err := ws.admitLocked(name, bounded); err != nil {
+	if err := ws.admitLocked(name, shards); err != nil {
 		return nil, err
 	}
 	if name == "" {

@@ -25,7 +25,7 @@ func testWorldEntry(t *testing.T, sched dynamic.Schedule) *WorldEntry {
 // TestWorldLifecycle checks naming, duplicates, capacity, and deletion.
 func TestWorldLifecycle(t *testing.T) {
 	ws := NewWorlds(2)
-	a, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), true)
+	a, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestWorldLifecycle(t *testing.T) {
 	// creates.
 	ws2 := NewWorlds(4)
 	for i := 1; i <= 3; i++ {
-		e, err := ws2.Create("", testWorldEntry(t, dynamic.Static{}), true)
+		e, err := ws2.Create("", testWorldEntry(t, dynamic.Static{}), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,20 +44,20 @@ func TestWorldLifecycle(t *testing.T) {
 			t.Fatalf("generated ID %q, want %s", e.ID, want)
 		}
 	}
-	named, err := ws.Create("sweep-1", testWorldEntry(t, dynamic.Static{}), true)
+	named, err := ws.Create("sweep-1", testWorldEntry(t, dynamic.Static{}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if named.ID != "sweep-1" {
 		t.Fatalf("ID %q, want sweep-1", named.ID)
 	}
-	if _, err := ws.Create("sweep-1", testWorldEntry(t, dynamic.Static{}), true); !errors.Is(err, ErrWorldExists) {
+	if _, err := ws.Create("sweep-1", testWorldEntry(t, dynamic.Static{}), 1); !errors.Is(err, ErrWorldExists) {
 		t.Fatalf("duplicate name err = %v", err)
 	}
-	if _, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), true); !errors.Is(err, ErrWorldCapacity) {
+	if _, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), 1); !errors.Is(err, ErrWorldCapacity) {
 		t.Fatalf("over-capacity err = %v", err)
 	}
-	if _, err := ws.Create("no spaces!", testWorldEntry(t, dynamic.Static{}), true); !errors.Is(err, ErrBadWorldName) {
+	if _, err := ws.Create("no spaces!", testWorldEntry(t, dynamic.Static{}), 1); !errors.Is(err, ErrBadWorldName) {
 		t.Fatalf("bad name err = %v", err)
 	}
 	if !ws.Delete(a.ID) {
@@ -76,31 +76,35 @@ func TestWorldLifecycle(t *testing.T) {
 	}
 }
 
-// TestUnboundedCreatePastLimit checks that the bound limits only bounded
-// creates: an unbounded one, for a world migrating in from another shard,
-// is admitted past it under the same name rules.
-func TestUnboundedCreatePastLimit(t *testing.T) {
+// TestMigratedCreateCeiling checks that a client create stops at the
+// bound while a migrated one, which passes the number of shards whose
+// worlds may move here, is admitted past it up to the bound once per
+// shard, under the same name rules.
+func TestMigratedCreateCeiling(t *testing.T) {
 	ws := NewWorlds(1)
-	if _, err := ws.Create("here", testWorldEntry(t, dynamic.Static{}), true); err != nil {
+	if _, err := ws.Create("here", testWorldEntry(t, dynamic.Static{}), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.Precheck("moved", true); !errors.Is(err, ErrWorldCapacity) {
-		t.Fatalf("bounded precheck at the bound: %v", err)
+	if err := ws.Precheck("moved", 1); !errors.Is(err, ErrWorldCapacity) {
+		t.Fatalf("client precheck at the bound: %v", err)
 	}
-	if err := ws.Precheck("moved", false); err != nil {
-		t.Fatalf("unbounded precheck at the bound: %v", err)
+	if err := ws.Precheck("moved", 2); err != nil {
+		t.Fatalf("migrated precheck at the bound: %v", err)
 	}
-	if _, err := ws.Create("moved", testWorldEntry(t, dynamic.Static{}), false); err != nil {
-		t.Fatalf("unbounded create at the bound: %v", err)
+	if _, err := ws.Create("moved", testWorldEntry(t, dynamic.Static{}), 2); err != nil {
+		t.Fatalf("migrated create at the bound: %v", err)
 	}
-	if _, err := ws.Create("here", testWorldEntry(t, dynamic.Static{}), false); !errors.Is(err, ErrWorldExists) {
-		t.Fatalf("unbounded duplicate: %v", err)
+	if _, err := ws.Create("more", testWorldEntry(t, dynamic.Static{}), 2); !errors.Is(err, ErrWorldCapacity) {
+		t.Fatalf("migrated create at the ceiling: %v", err)
 	}
-	if _, err := ws.Create("no spaces!", testWorldEntry(t, dynamic.Static{}), false); !errors.Is(err, ErrBadWorldName) {
-		t.Fatalf("unbounded bad name: %v", err)
+	if _, err := ws.Create("here", testWorldEntry(t, dynamic.Static{}), 3); !errors.Is(err, ErrWorldExists) {
+		t.Fatalf("migrated duplicate: %v", err)
 	}
-	if _, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), true); !errors.Is(err, ErrWorldCapacity) {
-		t.Fatalf("bounded create past the bound: %v", err)
+	if _, err := ws.Create("no spaces!", testWorldEntry(t, dynamic.Static{}), 3); !errors.Is(err, ErrBadWorldName) {
+		t.Fatalf("migrated bad name: %v", err)
+	}
+	if _, err := ws.Create("", testWorldEntry(t, dynamic.Static{}), 1); !errors.Is(err, ErrWorldCapacity) {
+		t.Fatalf("client create past the bound: %v", err)
 	}
 	if n := ws.Len(); n != 2 {
 		t.Fatalf("%d worlds resident, want 2", n)
@@ -113,7 +117,7 @@ func TestUnboundedCreatePastLimit(t *testing.T) {
 // explicit rounds-exhausted error) while the world stays consistent.
 func TestSharedWorldConcurrentRouters(t *testing.T) {
 	ws := NewWorlds(4)
-	ent, err := ws.Create("shared", testWorldEntry(t, &dynamic.EdgeChurn{Seed: 5, PDrop: 0.05, AddRate: 1}), true)
+	ent, err := ws.Create("shared", testWorldEntry(t, &dynamic.EdgeChurn{Seed: 5, PDrop: 0.05, AddRate: 1}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
