@@ -15,12 +15,12 @@ import (
 // removed edge's two endpoints. Gadget shape is a pure local function of
 // degree, so only the touched originals need re-gadgeting; every other
 // original keeps its gadget nodes, their IDs, and their port wiring. The
-// next generation is a copy of the old port table and projection (O(n)
-// memcpy) edited in place by O(diff) row writes through the same wire
-// Reduce uses, then wrapped by flatgraph.New. The result is
-// port-preservingly isomorphic to a fresh Reduce of the mutated graph, so
-// walks, verdicts, hop counts, and header bits are identical on either
-// compile path.
+// next generation is a copy of the old packed table, projection and entry
+// array (O(n) memcpy of pointer-free arrays) edited in place by O(diff)
+// row writes through the same wire Reduce uses, then wrapped by
+// flatgraph.New. The result is port-preservingly isomorphic to a fresh
+// Reduce of the mutated graph, so walks, verdicts, hop counts, and header
+// bits are identical on either compile path.
 
 var (
 	// ErrDeltaTooLarge means the touched set exceeds the fraction of the
@@ -49,6 +49,10 @@ const deltaMaxFraction = 4
 // components on the first Components call, exactly as a full compile's
 // does, so a recompile no route starts on never pays for the labelling.
 //
+// The nodes of an untouched gadget are read off the base's table (succ),
+// and an original's dense index is looked up (origIdx[orig[g]]) only at
+// the rows a relocation moves.
+//
 // On ErrDeltaTooLarge or ErrDeltaUnusable the caller should fall back to
 // Reduce(cur).
 func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, error) {
@@ -75,12 +79,12 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		return nil, fmt.Errorf("%w: %d of %d originals", ErrDeltaTooLarge, len(touched), numOrig)
 	}
 
-	// Gadget ID management: free the old slots of every touched original,
-	// then allocate new slots from the freed pool (ascending) before minting
-	// fresh IDs, so the ID universe stays exactly {0..nNew-1}. If the graph
-	// shrank, surviving gadgets stranded above nNew are relocated down into
-	// leftover holes; identity dense numbering is an invariant of every
-	// generation, which keeps node-ID metering bounded.
+	// Gadget ID management: free the old gadget of every touched original,
+	// then allocate new gadgets from the freed pool (ascending) before
+	// minting fresh IDs, so the ID universe stays exactly {0..nNew-1}. If
+	// the graph shrank, surviving gadgets stranded above nNew are relocated
+	// down into leftover holes; identity dense numbering is an invariant of
+	// every generation, which keeps node-ID metering bounded.
 	nOld := flat.NumNodes()
 	var freed []int32
 	need := 0
@@ -89,29 +93,37 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		if d < 0 {
 			return nil, fmt.Errorf("%w: node %d absent from current graph", ErrDeltaUnusable, r.origIDs[ix])
 		}
-		for _, gid := range r.slots[ix] {
-			freed = append(freed, int32(gid))
+		e := r.entry[ix]
+		for g, j := e, 0; ; j++ {
+			freed = append(freed, g)
+			if g = r.succ(g, j); g == e {
+				break
+			}
 		}
 		need += gadgetSize(d)
 	}
 	slices.Sort(freed)
 	nNew := nOld - len(freed) + need
+	if err := checkSize(nNew); err != nil {
+		return nil, err
+	}
 
-	slots := slices.Clone(r.slots)
-	gadgets := make([]graph.NodeID, need) // backing array of the new slot lists
+	// gadgets lists the new gadgets' IDs in allocation order, which is
+	// ascending: each touched original takes the next run, in touched
+	// order, and its entry is the run's first ID.
+	gadgets := make([]int32, need)
+	for q := range gadgets {
+		if q < len(freed) {
+			gadgets[q] = freed[q]
+		} else {
+			gadgets[q] = int32(nOld + q - len(freed))
+		}
+	}
+	entry := slices.Clone(r.entry)
 	next := 0
 	for _, ix := range touched {
-		end := next + gadgetSize(cur.Degree(r.origIDs[ix]))
-		s := gadgets[next:end:end]
-		for k := range s {
-			if next < len(freed) {
-				s[k] = graph.NodeID(freed[next])
-			} else {
-				s[k] = graph.NodeID(nOld + next - len(freed))
-			}
-			next++
-		}
-		slots[ix] = s
+		entry[ix] = gadgets[next]
+		next += gadgetSize(cur.Degree(r.origIDs[ix]))
 	}
 
 	// reloc[id-nNew] is the new ID of the survivor stranded at id, or -1
@@ -142,22 +154,33 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		}
 		return reloc[int(id)-nNew]
 	}
-	isTouched := func(id int32) bool {
-		_, ok := slices.BinarySearch(touched, r.origIx[id])
-		return ok
+	// node returns the new ID of the gadget node that owns port p of the
+	// original at dense index ix: a touched original's from its new run,
+	// an untouched one's read off the base's table, p nodes round its
+	// cycle, and renumbered if it was relocated.
+	node := func(ix int32, p int) int32 {
+		if _, ok := slices.BinarySearch(touched, ix); ok {
+			q, _ := slices.BinarySearch(gadgets, entry[ix])
+			return gadgets[q+p]
+		}
+		g := r.entry[ix]
+		for j := range p {
+			g = r.succ(g, j)
+		}
+		return mapID(g)
 	}
 
 	// The next generation: copies of the table and the projection, edited
 	// in place through the same write as Reduce's.
 	halves := flat.Table(nNew)
+	base := r.orig // a local source lets make+copy skip zeroing, as in Table
 	orig := make([]graph.NodeID, nNew)
-	origIx := make([]int32, nNew)
-	copy(orig, r.orig)
-	copy(origIx, r.origIx)
-	set := func(node, port int32, h flatgraph.Half32) { halves[node*3+port] = h }
+	copy(orig, base)
+	set := func(node, port int32, h flatgraph.Half32) { halves[node*3+port] = h.Pack() }
 
-	// Relocated survivors: each row moves whole, far ends renumbered. A far
-	// end at a touched original is rewritten with the original edges below.
+	// Relocated survivors: each row moves whole, far ends renumbered, and
+	// an entry that moves is repointed. A far end at a touched original is
+	// rewritten with the original edges below.
 	for i, newID := range reloc {
 		if newID < 0 {
 			continue
@@ -167,45 +190,45 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 			h := flat.Half(oldID, p)
 			set(newID, p, flatgraph.Half32{To: mapID(h.To), Port: h.Port})
 		}
-		ix := r.origIx[oldID]
-		orig[newID], origIx[newID] = r.orig[oldID], ix
-		if &slots[ix][0] == &r.slots[ix][0] { // still the base's list
-			slots[ix] = slices.Clone(slots[ix])
+		orig[newID] = r.orig[oldID]
+		if ix := r.origIdx[r.orig[oldID]]; entry[ix] == oldID {
+			entry[ix] = newID
 		}
-		slots[ix][slices.Index(slots[ix], graph.NodeID(oldID))] = graph.NodeID(newID)
 	}
 	// Back-pointers into relocated rows: every half that pointed at an old
-	// ID must point at the new one. Far ends owned by touched originals are
-	// skipped — their rows are rewritten wholesale below.
+	// ID must point at the new one. Far ends owned by touched originals,
+	// whose old IDs are all freed, are skipped — their rows are rewritten
+	// wholesale below.
 	for i, newID := range reloc {
 		if newID < 0 {
 			continue
 		}
 		oldID := int32(nNew + i)
 		for p := int32(0); p < 3; p++ {
-			if h := flat.Half(oldID, p); !isTouched(h.To) {
+			h := flat.Half(oldID, p)
+			if _, gone := slices.BinarySearch(freed, h.To); !gone {
 				set(mapID(h.To), h.Port, flatgraph.Half32{To: newID, Port: p})
 			}
 		}
 	}
 
 	// Re-gadget each touched original through the same wiring as Reduce, so
-	// a delta compile and a full compile are port-identical gadget by gadget.
-	for _, ix := range touched {
-		wire(slots[ix], cur.Degree(r.origIDs[ix]), set)
-		for _, gid := range slots[ix] {
-			orig[gid], origIx[gid] = r.origIDs[ix], ix
-		}
-	}
-
-	// Original edges incident to touched nodes: rewrite both directions at
-	// port 2 (the original-edge port of every non-theta gadget node). This
-	// also repairs untouched neighbours whose half content went stale when
-	// a touched endpoint's ports were compacted.
+	// a delta compile and a full compile are port-identical gadget by
+	// gadget; then rewrite both directions of every original edge incident
+	// to it, at port 2 (the original-edge port of every non-theta gadget
+	// node). This also repairs untouched neighbours whose half content went
+	// stale when a touched endpoint's ports were compacted.
+	next = 0
 	for _, ix := range touched {
 		v := r.origIDs[ix]
-		s := slots[ix]
-		for p := range cur.Degree(v) {
+		d := cur.Degree(v)
+		s := gadgets[next : next+gadgetSize(d)]
+		next += len(s)
+		wire(s, d, set)
+		for _, g := range s {
+			orig[g] = v
+		}
+		for p := range d {
 			h, err := cur.Neighbor(v, p)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrDeltaUnusable, err)
@@ -214,8 +237,7 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 			if !ok {
 				return nil, fmt.Errorf("%w: edge to unknown node %d", ErrDeltaUnusable, h.To)
 			}
-			ws := slots[w]
-			gv, gw := int32(s[p%len(s)]), int32(ws[h.ToPort%len(ws)])
+			gv, gw := s[p], node(w, h.ToPort)
 			set(gv, 2, flatgraph.Half32{To: gw, Port: 2})
 			set(gw, 2, flatgraph.Half32{To: gv, Port: 2})
 		}
@@ -223,8 +245,7 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 
 	return &Reduced{
 		orig:    orig,
-		origIx:  origIx,
-		slots:   slots,
+		entry:   entry,
 		origIDs: r.origIDs,
 		origIdx: r.origIdx,
 		flat:    flatgraph.New(halves, orig),

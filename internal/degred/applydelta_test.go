@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/prng"
 )
@@ -53,37 +52,26 @@ func signature(t *testing.T, r *Reduced) string {
 	return strings.Join(lines, "\n")
 }
 
-// generation is a deep copy of everything a reduction owns: every half of
-// its table, read one by one, its projection and its slot lists.
+// generation is a deep copy of everything a reduction owns: its packed
+// port table, its projection and its gadget entries.
 type generation struct {
-	halves []flatgraph.Half32
+	halves []uint32
 	orig   []graph.NodeID
-	origIx []int32
-	slots  [][]graph.NodeID
+	entry  []int32
 }
 
 func copyGeneration(r *Reduced) generation {
 	f := r.Flat()
-	c := generation{
-		halves: make([]flatgraph.Half32, 0, 3*f.NumNodes()),
+	return generation{
+		halves: f.Table(f.NumNodes()),
 		orig:   slices.Clone(r.orig),
-		origIx: slices.Clone(r.origIx),
-		slots:  make([][]graph.NodeID, len(r.slots)),
+		entry:  slices.Clone(r.entry),
 	}
-	for i := int32(0); i < int32(f.NumNodes()); i++ {
-		for p := int32(0); p < 3; p++ {
-			c.halves = append(c.halves, f.Half(i, p))
-		}
-	}
-	for i, s := range r.slots {
-		c.slots[i] = slices.Clone(s)
-	}
-	return c
 }
 
 func (c generation) equal(d generation) bool {
 	return slices.Equal(c.halves, d.halves) && slices.Equal(c.orig, d.orig) &&
-		slices.Equal(c.origIx, d.origIx) && slices.EqualFunc(c.slots, d.slots, slices.Equal)
+		slices.Equal(c.entry, d.entry)
 }
 
 // applyDelta runs red.ApplyDelta and fails the test if the call changed
@@ -94,7 +82,7 @@ func applyDelta(t *testing.T, red *Reduced, g *graph.Graph, deltas []graph.Delta
 	before := copyGeneration(red)
 	next, err := red.ApplyDelta(g, deltas)
 	if !copyGeneration(red).equal(before) {
-		t.Fatal("ApplyDelta changed its receiver's table, projection or slot lists")
+		t.Fatal("ApplyDelta changed its receiver's table, projection or entries")
 	}
 	return next, err
 }

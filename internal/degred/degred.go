@@ -35,21 +35,20 @@ import (
 // snapshot, together with the bidirectional mapping between gadget nodes
 // and the original nodes they simulate.
 //
-// Internally the mapping is array-based, indexed by dense gadget ID and
-// dense original index: delta compiles produce a new generation by copying
-// the spines and patching only the touched entries, while the original-node
-// universe (origIDs/origIdx) is shared immutably across generations — any
-// change to the node set forces a full Reduce.
+// A generation's arrays hold no pointers: the snapshot's packed table, the
+// projection orig (which the snapshot shares) and one gadget entry per
+// original. A delta compile produces the next generation by copying them
+// and patching only the touched entries, while the original-node universe
+// (origIDs/origIdx) is shared immutably across generations — any change
+// to the node set forces a full Reduce.
 type Reduced struct {
-	// orig[g] is the original node simulated by gadget node g; origIx[g] is
-	// the dense index of that original. Gadget IDs are always exactly
-	// 0..len(orig)-1.
-	orig   []graph.NodeID
-	origIx []int32
-	// slots[i] lists, in cycle order, the gadget nodes simulating the
-	// original at dense index i; slot j owns original ports p with
-	// p % len(slots[i]) == j.
-	slots [][]graph.NodeID
+	// orig[g] is the original node simulated by gadget node g. Gadget IDs
+	// are always exactly 0..len(orig)-1.
+	orig []graph.NodeID
+	// entry[i] is the first gadget node of the original at dense index i.
+	// The rest of the gadget is read off the table, where wire lays it out
+	// as a cycle (see succ).
+	entry []int32
 	// origIDs/origIdx enumerate the original nodes in insertion order and
 	// invert that enumeration. Shared (never mutated) by every generation
 	// derived from the same full Reduce.
@@ -66,7 +65,8 @@ type Reduced struct {
 }
 
 // gadgetSize returns the number of gadget nodes simulating an original node
-// of degree d — the Figure 1 shape is a pure local function of degree.
+// of degree d — the Figure 1 shape is a pure local function of degree. It
+// is d itself whenever d > 0, so gadget node p owns original port p.
 func gadgetSize(d int) int {
 	switch {
 	case d >= 3:
@@ -86,10 +86,13 @@ func gadgetSize(d int) int {
 // 0↔1 for d = 1, and a theta p↔p for d = 0. Every gadget node but a
 // theta's keeps port 2 for the original edge it owns. Reduce and ApplyDelta
 // both wire through it, so the two compile paths label every gadget alike.
-func wire(s []graph.NodeID, d int, set func(node, port int32, h flatgraph.Half32)) {
+// In every shape, port 0 of s[0] leads to s[1] and port 1 of each later
+// node to the next one, back to s[0] from the last: that is how succ reads
+// a gadget back off the table.
+func wire(s []int32, d int, set func(node, port int32, h flatgraph.Half32)) {
 	switch {
 	case d >= 3:
-		g := func(i int) int32 { return int32(s[i]) }
+		g := func(i int) int32 { return s[i] }
 		set(g(0), 0, flatgraph.Half32{To: g(1), Port: 0})
 		set(g(0), 1, flatgraph.Half32{To: g(d - 1), Port: 1})
 		for i := 1; i <= d-2; i++ {
@@ -103,17 +106,17 @@ func wire(s []graph.NodeID, d int, set func(node, port int32, h flatgraph.Half32
 		set(g(d-1), 0, flatgraph.Half32{To: g(d - 2), Port: 1})
 		set(g(d-1), 1, flatgraph.Half32{To: g(0), Port: 1})
 	case d == 2:
-		a, b := int32(s[0]), int32(s[1])
+		a, b := s[0], s[1]
 		set(a, 0, flatgraph.Half32{To: b, Port: 0})
 		set(a, 1, flatgraph.Half32{To: b, Port: 1})
 		set(b, 0, flatgraph.Half32{To: a, Port: 0})
 		set(b, 1, flatgraph.Half32{To: a, Port: 1})
 	case d == 1:
-		a := int32(s[0])
+		a := s[0]
 		set(a, 0, flatgraph.Half32{To: a, Port: 1})
 		set(a, 1, flatgraph.Half32{To: a, Port: 0})
 	default: // d == 0: theta
-		a, b := int32(s[0]), int32(s[1])
+		a, b := s[0], s[1]
 		for p := int32(0); p < 3; p++ {
 			set(a, p, flatgraph.Half32{To: b, Port: p})
 			set(b, p, flatgraph.Half32{To: a, Port: p})
@@ -129,7 +132,7 @@ func wire(s []graph.NodeID, d int, set func(node, port int32, h flatgraph.Half32
 func Reduce(g *graph.Graph) (*Reduced, error) {
 	ids := g.Nodes()
 	r := &Reduced{
-		slots:   make([][]graph.NodeID, len(ids)),
+		entry:   make([]int32, len(ids)),
 		origIDs: ids,
 		origIdx: make(map[graph.NodeID]int32, len(ids)),
 	}
@@ -138,24 +141,26 @@ func Reduce(g *graph.Graph) (*Reduced, error) {
 		r.origIdx[v] = int32(i)
 		n += gadgetSize(g.Degree(v))
 	}
-	gadgets := make([]graph.NodeID, n) // backing array of every slot list
+	if err := checkSize(n); err != nil {
+		return nil, err
+	}
 	r.orig = make([]graph.NodeID, n)
-	r.origIx = make([]int32, n)
-	halves := make([]flatgraph.Half32, 3*n)
-	set := func(node, port int32, h flatgraph.Half32) { halves[node*3+port] = h }
+	halves := make([]uint32, 3*n)
+	set := func(node, port int32, h flatgraph.Half32) { halves[node*3+port] = h.Pack() }
 
-	// Gadgets and their intra-gadget edges.
-	next := 0
+	// Gadgets and their intra-gadget edges: each original's gadget is the
+	// next run of IDs, so its node p is its entry plus p.
+	var s []int32
+	next := int32(0)
 	for i, v := range ids {
 		d := g.Degree(v)
-		end := next + gadgetSize(d)
-		s := gadgets[next:end:end]
-		for k := range s {
-			s[k] = graph.NodeID(next)
-			r.orig[next], r.origIx[next] = v, int32(i)
+		r.entry[i] = next
+		s = s[:0]
+		for range gadgetSize(d) {
+			s = append(s, next)
+			r.orig[next] = v
 			next++
 		}
-		r.slots[i] = s
 		wire(s, d, set)
 	}
 
@@ -163,8 +168,7 @@ func Reduce(g *graph.Graph) (*Reduced, error) {
 	// Every original port is visited once, which writes each edge's two
 	// directions from its two ends.
 	for i, v := range ids {
-		s, d := r.slots[i], g.Degree(v)
-		for p := 0; p < d; p++ {
+		for p := range g.Degree(v) {
 			h, err := g.Neighbor(v, p)
 			if err != nil {
 				return nil, fmt.Errorf("degred: edge wiring: %w", err)
@@ -173,8 +177,7 @@ func Reduce(g *graph.Graph) (*Reduced, error) {
 			if !ok {
 				return nil, fmt.Errorf("degred: edge wiring: port (%d,%d) leads to unknown node %d", v, p, h.To)
 			}
-			ws := r.slots[w]
-			set(int32(s[p%len(s)]), 2, flatgraph.Half32{To: int32(ws[h.ToPort%len(ws)]), Port: 2})
+			set(r.entry[i]+int32(p), 2, flatgraph.Half32{To: r.entry[w] + int32(h.ToPort), Port: 2})
 		}
 	}
 	r.flat = flatgraph.New(halves, r.orig)
@@ -182,6 +185,14 @@ func Reduce(g *graph.Graph) (*Reduced, error) {
 		return nil, fmt.Errorf("degred: %w", err)
 	}
 	return r, nil
+}
+
+// checkSize refuses a G′ of n nodes that a snapshot cannot address.
+func checkSize(n int) error {
+	if n > flatgraph.MaxNodes {
+		return fmt.Errorf("degred: G′ needs %d nodes, more than a snapshot holds (%d)", n, flatgraph.MaxNodes)
+	}
+	return nil
 }
 
 // Graph returns G′ as a graph.Graph, for the reference engine and the
@@ -225,24 +236,35 @@ func (r *Reduced) Original(v graph.NodeID) (graph.NodeID, bool) {
 }
 
 // Gadget returns the gadget nodes simulating original node v, in cycle
-// order (a copy).
+// order (a fresh slice).
 func (r *Reduced) Gadget(v graph.NodeID) []graph.NodeID {
 	ix, ok := r.origIdx[v]
 	if !ok {
 		return nil
 	}
-	s := r.slots[ix]
-	out := make([]graph.NodeID, len(s))
-	copy(out, s)
-	return out
+	var out []graph.NodeID
+	e := r.entry[ix]
+	for g, j := e, 0; ; j++ {
+		out = append(out, graph.NodeID(g))
+		if g = r.succ(g, j); g == e {
+			return out
+		}
+	}
+}
+
+// succ returns the gadget node after g, node j of its gadget, in cycle
+// order: wire leaves a gadget's entry through port 0 and every later node
+// through port 1, and the last node's port 1 leads back to the entry.
+func (r *Reduced) succ(g int32, j int) int32 {
+	return r.flat.Half(g, min(int32(j), 1)).To
 }
 
 // Entry returns the canonical gadget node for original node v — the place
 // where a message originating at v enters the reduced graph.
 func (r *Reduced) Entry(v graph.NodeID) (graph.NodeID, bool) {
 	ix, ok := r.origIdx[v]
-	if !ok || len(r.slots[ix]) == 0 {
+	if !ok {
 		return 0, false
 	}
-	return r.slots[ix][0], true
+	return graph.NodeID(r.entry[ix]), true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flatgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/prng"
@@ -248,5 +249,17 @@ func mustLoop(t *testing.T, g *graph.Graph, v graph.NodeID) {
 	t.Helper()
 	if _, _, err := g.AddEdge(v, v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckSizeAtMaxNodes pins the largest G′ a reduction may build: one
+// of flatgraph.MaxNodes nodes passes, one more is refused. Reduce and
+// ApplyDelta both check through it before they write a row.
+func TestCheckSizeAtMaxNodes(t *testing.T) {
+	if err := checkSize(flatgraph.MaxNodes); err != nil {
+		t.Fatalf("a G′ of MaxNodes nodes was refused: %v", err)
+	}
+	if err := checkSize(flatgraph.MaxNodes + 1); err == nil {
+		t.Fatal("a G′ past MaxNodes was accepted")
 	}
 }

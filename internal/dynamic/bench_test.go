@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/degred"
+	"repro/internal/flatgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -236,6 +237,36 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 	}
 }
 
+// churnEpochWorld returns BenchmarkChurnEpoch's world: a 16×16 grid
+// under stationary Markov link flaps (0.01 down, 0.5 up), warmed 64
+// epochs toward its stationary down-fraction and compiled.
+func churnEpochWorld(tb testing.TB) *World {
+	tb.Helper()
+	w := NewWorld(gen.Grid(16, 16), &MarkovLinks{Seed: 1, PDown: 0.01, PUp: 0.5})
+	for e := 0; e < 64; e++ {
+		if err := w.Advance(Probe{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, _, err := w.Compiled(); err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// churnEpoch advances w one epoch and returns the snapshot Compiled
+// builds for it, through the delta path.
+func churnEpoch(tb testing.TB, w *World) *flatgraph.Graph {
+	if err := w.Advance(Probe{}); err != nil {
+		tb.Fatal(err)
+	}
+	_, flat, err := w.Compiled()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return flat
+}
+
 // BenchmarkChurnEpoch times one epoch of world_churn's shape: a 16×16
 // grid under stationary Markov link flaps, where each Advance flips a
 // handful of links and the Compiled() call after it recompiles through
@@ -250,31 +281,40 @@ func BenchmarkChurnEpoch(b *testing.B) {
 			name = "recompile+components"
 		}
 		b.Run(name, func(b *testing.B) {
-			w := NewWorld(gen.Grid(16, 16), &MarkovLinks{Seed: 1, PDown: 0.01, PUp: 0.5})
-			// Warm the chain toward its stationary down-fraction first.
-			for e := 0; e < 64; e++ {
-				if err := w.Advance(Probe{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, _, err := w.Compiled(); err != nil {
-				b.Fatal(err)
-			}
+			w := churnEpochWorld(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.Advance(Probe{}); err != nil {
-					b.Fatal(err)
-				}
-				_, flat, err := w.Compiled()
-				if err != nil {
-					b.Fatal(err)
-				}
+				flat := churnEpoch(b, w)
 				if comps {
 					flat.Components()
 				}
 			}
 		})
+	}
+}
+
+// TestChurnEpochAllocBytes guards what one generation of G′ costs: on
+// BenchmarkChurnEpoch's world (about 940 gadget nodes over 256
+// originals), one epoch and its delta recompile must allocate at most
+// 28 KB. A generation is a packed 12-byte table row, an 8-byte projection
+// and a metering byte per gadget node plus a 4-byte entry per original,
+// about 22 KB; 24-byte rows, per-node original indices and slot lists
+// made it about 45 KB.
+func TestChurnEpochAllocBytes(t *testing.T) {
+	const bound = 28 << 10
+	w := churnEpochWorld(t)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			churnEpoch(b, w)
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("the churned recompile failed")
+	}
+	if got := res.AllocedBytesPerOp(); got > bound {
+		t.Fatalf("one churned epoch allocated %d B, more than %d B", got, bound)
 	}
 }
 

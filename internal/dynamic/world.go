@@ -237,7 +237,9 @@ func (w *World) Advance(p Probe) error {
 // A rebuild prefers the delta path: if the previous compile is intact and
 // the mutation journal is clean, the journaled edge deltas are replayed
 // through degred.ApplyDelta, which re-gadgets only the touched nodes with
-// O(diff) row writes into an O(graph) copy of the snapshot's table.
+// O(diff) row writes into O(graph) copies of the generation's pointer-free
+// arrays: the packed port table (12 bytes per gadget node), the projection
+// (8), and one gadget entry per original (4).
 // Anything that poisons the journal (overflow, node insertion, label
 // shuffles) or trips the re-gadgeting fraction guard falls back to a full
 // O(graph) Reduce. Both paths produce byte-for-byte identical routing

@@ -49,8 +49,9 @@ func computeComponents(f *Graph) *Components {
 		return x
 	}
 	for i := 0; i < n; i++ {
-		for _, h := range f.halves[i*3 : i*3+3] {
-			a, b := find(int32(i)), find(h.To)
+		for _, e := range f.halves[i*3 : i*3+3] {
+			to, _ := unpack(e)
+			a, b := find(int32(i)), find(to)
 			if a == b {
 				continue
 			}

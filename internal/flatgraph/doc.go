@@ -12,9 +12,13 @@
 // the entire loop compiles to flat-array arithmetic:
 //
 //   - nodes are dense int32 indices, which are also their gadget IDs, and
-//     the port table is one flat []Half32 indexed by 3*node+port, since
-//     every node of G′ has degree 3. Package degred writes the table
-//     directly and New wraps it;
+//     the port table is one flat []uint32 indexed by 3*node+port, since
+//     every node of G′ has degree 3. Each entry packs a half-edge (far
+//     node << 2 | far port; Half32.Pack), so a row costs 12 bytes and a
+//     snapshot holds no pointers for the collector to scan. Only this
+//     package decodes the entries: Half returns them as Half32 values.
+//     Package degred writes the table directly through Pack and New wraps
+//     it;
 //   - the PRF symbol derivation (ues.Symbol over prng.Mix64) is inlined via
 //     the concrete Seq value — no interface call. Seq is the protocol's one
 //     representation of T_bound: package route derives it for every round,

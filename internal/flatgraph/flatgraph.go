@@ -2,18 +2,34 @@ package flatgraph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ues"
 )
 
-// Half32 is a compact half-edge: the dense index of the far node and the
-// port (local label) under which the same edge is known there.
+// Half32 is a half-edge: the dense index of the far node and the port
+// (local label) under which the same edge is known there. The port table
+// stores each one packed into a uint32 (see Pack); Half decodes it.
 type Half32 struct {
 	To   int32
 	Port int32
 }
+
+// MaxNodes is the most nodes a snapshot can hold. A packed half-edge keeps
+// the far node in 30 bits, and the walkers keep a table slot node*3+port,
+// plus one, in an int32; the second bound is the tighter.
+const MaxNodes = math.MaxInt32 / 3
+
+// Pack returns h in the port table's stored form, the far node shifted
+// left by two with the far port in the low bits: the element type of the
+// tables New wraps and Table copies. h.To must lie in [0, MaxNodes) and
+// h.Port in [0, 3).
+func (h Half32) Pack() uint32 { return uint32(h.To)<<2 | uint32(h.Port) }
+
+// unpack splits a stored half-edge into the far node and far port.
+func unpack(e uint32) (to, port int32) { return int32(e >> 2), int32(e & 3) }
 
 // Graph is an immutable snapshot of a degree-reduced graph G′: its
 // 3-regular port table together with the projection back to the original
@@ -22,9 +38,10 @@ type Half32 struct {
 // the component index is memoized under a sync.Once, so one Graph is
 // safely shared by any number of concurrent walkers.
 type Graph struct {
-	// halves is the flat port table: halves[3*i+p] is the half-edge leaving
-	// node i through port p.
-	halves []Half32
+	// halves is the flat port table: halves[3*i+p] is the packed half-edge
+	// leaving node i through port p. It holds no pointers, so a generation
+	// costs the collector nothing to scan.
+	halves []uint32
 	// orig maps node -> the original node it simulates (the gadget
 	// projection of degred).
 	orig []graph.NodeID
@@ -41,11 +58,12 @@ type Graph struct {
 
 // New wraps a 3-regular port table as a snapshot and takes ownership of
 // both slices: halves[3*i+p] is the half-edge leaving node i through port
-// p, and orig[i] is the original node that node i simulates, so halves
-// must hold 3*len(orig) entries. New does not validate the table; a
-// builder that cannot vouch for its rows checks the result with
-// CheckConsistent before any walk runs on it.
-func New(halves []Half32, orig []graph.NodeID) *Graph {
+// p, packed by Half32.Pack, and orig[i] is the original node that node i
+// simulates, so halves must hold 3*len(orig) entries and len(orig) must
+// not exceed MaxNodes. New does not validate the table; a builder that
+// cannot vouch for its rows checks the result with CheckConsistent before
+// any walk runs on it.
+func New(halves []uint32, orig []graph.NodeID) *Graph {
 	memw := make([]uint8, len(orig))
 	for i, o := range orig {
 		memw[i] = uint8(wordBits(int64(i)) + wordBits(int64(o)))
@@ -53,14 +71,17 @@ func New(halves []Half32, orig []graph.NodeID) *Graph {
 	return &Graph{halves: halves, orig: orig, memw: memw}
 }
 
-// Table returns a fresh copy of the port table resized to n nodes: rows
-// past the snapshot's node count are zero and rows past n are dropped.
-// degred.ApplyDelta edits the copy into the next generation and wraps it
-// with New; the receiver never changes, so walkers holding it are
-// undisturbed.
-func (f *Graph) Table(n int) []Half32 {
-	halves := make([]Half32, 3*n)
-	copy(halves, f.halves)
+// Table returns a fresh copy of the packed port table resized to n nodes:
+// rows past the snapshot's node count are zero and rows past n are
+// dropped. degred.ApplyDelta edits the copy into the next generation and
+// wraps it with New; the receiver never changes, so walkers holding it
+// are undisturbed.
+func (f *Graph) Table(n int) []uint32 {
+	// A make followed by a copy from a local compiles to one
+	// runtime.makeslicecopy, which zeroes only the rows the copy leaves.
+	src := f.halves
+	halves := make([]uint32, 3*n)
+	copy(halves, src)
 	return halves
 }
 
@@ -75,15 +96,16 @@ func (f *Graph) CheckConsistent() error {
 	if len(f.halves) != n*3 {
 		return fmt.Errorf("flatgraph: %d halves for %d nodes", len(f.halves), n)
 	}
-	for i, h := range f.halves {
+	for i, e := range f.halves {
 		node, port := i/3, i%3
-		if h.To < 0 || int(h.To) >= n || h.Port < 0 || h.Port > 2 {
+		to, far := unpack(e)
+		if int(to) >= n || far > 2 {
 			return fmt.Errorf("flatgraph: half (%d,%d) targets (%d,%d) outside %d nodes of degree 3",
-				node, port, h.To, h.Port, n)
+				node, port, to, far, n)
 		}
-		if back := f.halves[h.To*3+h.Port]; int(back.To) != node || int(back.Port) != port {
+		if backTo, backPort := unpack(f.halves[to*3+far]); int(backTo) != node || int(backPort) != port {
 			return fmt.Errorf("flatgraph: half (%d,%d)->(%d,%d) not mutual: reverse is (%d,%d)",
-				node, port, h.To, h.Port, back.To, back.Port)
+				node, port, to, far, backTo, backPort)
 		}
 	}
 	return nil
@@ -105,7 +127,10 @@ func (f *Graph) Index(id graph.NodeID) (int32, bool) {
 func (f *Graph) OriginalOf(i int32) graph.NodeID { return f.orig[i] }
 
 // Half returns the half-edge leaving dense node i through port p.
-func (f *Graph) Half(i, p int32) Half32 { return f.halves[i*3+p] }
+func (f *Graph) Half(i, p int32) Half32 {
+	to, port := unpack(f.halves[i*3+p])
+	return Half32{To: to, Port: port}
+}
 
 // Step performs one exploration hop from (node, inPort) with direction t:
 // leave through port (inPort + t) mod 3 and return the far half-edge as the
@@ -116,8 +141,7 @@ func (f *Graph) Step(node, inPort, t int32) (int32, int32) {
 	if exit >= 3 {
 		exit -= 3
 	}
-	h := f.halves[node*3+exit]
-	return h.To, h.Port
+	return unpack(f.halves[node*3+exit])
 }
 
 // Closed reports whether the visited set (dense indices with visited[i]
@@ -128,8 +152,8 @@ func (f *Graph) Closed(visited []bool) bool {
 		if !visited[i] {
 			continue
 		}
-		for _, h := range f.halves[i*3 : i*3+3] {
-			if !visited[h.To] {
+		for _, e := range f.halves[i*3 : i*3+3] {
+			if to, _ := unpack(e); !visited[to] {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package flatgraph_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/degred"
@@ -61,6 +62,27 @@ func TestCompileMirrorsGraph(t *testing.T) {
 	}
 	if _, ok := f.Index(graph.NodeID(f.NumNodes())); ok {
 		t.Fatal("Index accepted a node past the snapshot")
+	}
+}
+
+// TestPackAtMaxNodes checks that the largest node a snapshot can hold
+// survives the packed port table at every port, and that the table slot
+// past its last half-edge, which the stepper's records store, still fits
+// an int32.
+func TestPackAtMaxNodes(t *testing.T) {
+	last := int32(flatgraph.MaxNodes - 1)
+	halves := make([]uint32, 3)
+	for p := int32(0); p < 3; p++ {
+		halves[p] = flatgraph.Half32{To: last, Port: p}.Pack()
+	}
+	f := flatgraph.New(halves, []graph.NodeID{0})
+	for p := int32(0); p < 3; p++ {
+		if got, want := f.Half(0, p), (flatgraph.Half32{To: last, Port: p}); got != want {
+			t.Fatalf("port %d: packed %+v reads back as %+v", p, want, got)
+		}
+	}
+	if slot := int64(last)*3 + 2 + 1; slot > math.MaxInt32 {
+		t.Fatalf("slot %d of the last node overflows int32", slot)
 	}
 }
 

@@ -171,8 +171,7 @@ func (st *RouteStepper) Run(limit int64) bool {
 				}
 				st.rec = 0
 				i--
-				h := f.halves[node*3+inPort]
-				node, inPort = h.To, h.Port
+				node, inPort = unpack(f.halves[node*3+inPort])
 				hops++
 				break
 			}
@@ -196,8 +195,7 @@ func (st *RouteStepper) Run(limit int64) bool {
 			} else {
 				recPeak = max(recPeak, act-int(inPort)+int(exit)+int(t)+1)
 			}
-			h := f.halves[node*3+exit]
-			node, inPort = h.To, h.Port
+			node, inPort = unpack(f.halves[node*3+exit])
 			i++
 			hops++
 		}
@@ -235,8 +233,7 @@ func (st *RouteStepper) Run(limit int64) bool {
 		if exit < 0 {
 			exit += 3
 		}
-		h := f.halves[node*3+exit]
-		node, inPort = h.To, h.Port
+		node, inPort = unpack(f.halves[node*3+exit])
 		i--
 		hops++
 	}
@@ -271,7 +268,7 @@ func (st *RouteStepper) Rewind(n int64, sink HopSink) {
 	node, inPort, i := st.node, st.inPort, st.index
 	for range n {
 		sink(f.orig[node], i, st.backward)
-		h := f.halves[node*3+inPort]
+		h := f.Half(node, inPort)
 		node = h.To
 		switch {
 		case !st.backward:

@@ -111,8 +111,7 @@ func (f *Graph) CoverWalk(start int32, seq Seq, visited []bool, order []int32) (
 			if exit >= 3 {
 				exit -= 3
 			}
-			h := f.halves[node*3+exit]
-			node, inPort = h.To, h.Port
+			node, inPort = unpack(f.halves[node*3+exit])
 			if !visited[node] {
 				visited[node] = true
 				if order != nil {
