@@ -1,6 +1,7 @@
 package degred
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,9 +24,9 @@ import (
 // bits are identical on either compile path.
 
 var (
-	// ErrDeltaTooLarge means the touched set exceeds the fraction of the
-	// graph below which a delta compile beats recompiling; callers fall
-	// back to a full Reduce.
+	// ErrDeltaTooLarge means the delta touches, or would read, more of the
+	// graph than a delta compile can handle for less than recompiling;
+	// callers fall back to a full Reduce.
 	ErrDeltaTooLarge = errors.New("degred: delta touches too much of the graph")
 	// ErrDeltaUnusable means the delta cannot be interpreted against this
 	// base (an unknown node or edge endpoint); callers fall back to a full
@@ -39,6 +40,12 @@ var (
 // for itself.
 const deltaMaxFraction = 4
 
+// farHops is the longest walk round an untouched gadget, from its entry,
+// that ApplyDelta takes to read one of its nodes before it sorts the
+// touched original's far ends instead: a few table loads cost less than
+// the sort.
+const farHops = 8
+
 // ApplyDelta builds the reduction of cur, the graph obtained from this
 // reduction's base by applying the journaled deltas, re-gadgeting only the
 // touched originals. cur must already be in its post-mutation state and
@@ -49,9 +56,13 @@ const deltaMaxFraction = 4
 // components on the first Components call, exactly as a full compile's
 // does, so a recompile no route starts on never pays for the labelling.
 //
-// The nodes of an untouched gadget are read off the base's table (succ),
-// and an original's dense index is looked up (origIdx[orig[g]]) only at
-// the rows a relocation moves.
+// The nodes of an untouched gadget are read off the base's table: by a
+// short walk round the gadget from its entry, or among the touched
+// original's far ends. Only parallel edges to a big gadget need long
+// walks; past as many hops as the base has nodes, a full Reduce is the
+// cheaper compile and ApplyDelta returns ErrDeltaTooLarge. An original's
+// dense index is looked up (origIdx[orig[g]]) only at the rows a
+// relocation moves.
 //
 // On ErrDeltaTooLarge or ErrDeltaUnusable the caller should fall back to
 // Reduce(cur).
@@ -62,19 +73,19 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 	flat := r.flat
 	numOrig := len(r.origIDs)
 
-	// Touched originals: the delta endpoints, as sorted dense indices.
-	touched := make([]int32, 0, 2*len(deltas))
+	// Touched originals: the delta endpoints, sorted by dense index.
+	touched := make([]touch, 0, 2*len(deltas))
 	for _, d := range deltas {
 		for _, v := range [2]graph.NodeID{d.U, d.V} {
 			ix, ok := r.origIdx[v]
 			if !ok {
 				return nil, fmt.Errorf("%w: delta names unknown node %d", ErrDeltaUnusable, v)
 			}
-			touched = append(touched, ix)
+			touched = append(touched, touch{ix: ix})
 		}
 	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
+	slices.SortFunc(touched, func(a, b touch) int { return cmp.Compare(a.ix, b.ix) })
+	touched = slices.CompactFunc(touched, func(a, b touch) bool { return a.ix == b.ix })
 	if deltaMaxFraction*len(touched) > numOrig {
 		return nil, fmt.Errorf("%w: %d of %d originals", ErrDeltaTooLarge, len(touched), numOrig)
 	}
@@ -88,18 +99,20 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 	nOld := flat.NumNodes()
 	var freed []int32
 	need := 0
-	for _, ix := range touched {
-		d := cur.Degree(r.origIDs[ix])
+	for k := range touched {
+		t := &touched[k]
+		d := cur.Degree(r.origIDs[t.ix])
 		if d < 0 {
-			return nil, fmt.Errorf("%w: node %d absent from current graph", ErrDeltaUnusable, r.origIDs[ix])
+			return nil, fmt.Errorf("%w: node %d absent from current graph", ErrDeltaUnusable, r.origIDs[t.ix])
 		}
-		e := r.entry[ix]
+		e := r.entry[t.ix]
 		for g, j := e, 0; ; j++ {
 			freed = append(freed, g)
 			if g = r.succ(g, j); g == e {
 				break
 			}
 		}
+		t.deg, t.off = int32(d), int32(need)
 		need += gadgetSize(d)
 	}
 	slices.Sort(freed)
@@ -109,8 +122,8 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 	}
 
 	// gadgets lists the new gadgets' IDs in allocation order, which is
-	// ascending: each touched original takes the next run, in touched
-	// order, and its entry is the run's first ID.
+	// ascending: each touched original takes the run at its offset, and
+	// its entry is the run's first ID.
 	gadgets := make([]int32, need)
 	for q := range gadgets {
 		if q < len(freed) {
@@ -120,10 +133,8 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		}
 	}
 	entry := slices.Clone(r.entry)
-	next := 0
-	for _, ix := range touched {
-		entry[ix] = gadgets[next]
-		next += gadgetSize(cur.Degree(r.origIDs[ix]))
+	for _, t := range touched {
+		entry[t.ix] = gadgets[t.off]
 	}
 
 	// reloc[id-nNew] is the new ID of the survivor stranded at id, or -1
@@ -155,18 +166,36 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		return reloc[int(id)-nNew]
 	}
 	// node returns the new ID of the gadget node that owns port p of the
-	// original at dense index ix: a touched original's from its new run,
-	// an untouched one's read off the base's table, p nodes round its
-	// cycle, and renumbered if it was relocated.
-	node := func(ix int32, p int) int32 {
-		if _, ok := slices.BinarySearch(touched, ix); ok {
-			q, _ := slices.BinarySearch(gadgets, entry[ix])
-			return gadgets[q+p]
+	// original at dense index ix, a neighbour of the touched original at
+	// dense index from: a touched original's from its new run, an
+	// untouched one's read off the base's table and renumbered if it was
+	// relocated. The table read walks p nodes round the untouched gadget's
+	// cycle from its entry when p is at most farHops. Past that, the node
+	// is looked up in far, the base gadget nodes across from's edges
+	// sorted by the original they simulate, where a neighbour joined to
+	// from by one edge owns exactly one; only a neighbour joined to from
+	// by parallel edges is walked further. walked counts the hops.
+	var far []int32
+	walked := 0
+	node := func(from, ix int32, p int) int32 {
+		if k, ok := slices.BinarySearchFunc(touched, ix, byIx); ok {
+			return gadgets[int(touched[k].off)+p]
+		}
+		if p > farHops {
+			if len(far) == 0 {
+				far = r.farEnds(far, r.entry[from])
+			}
+			w := r.origIDs[ix]
+			i, ok := slices.BinarySearchFunc(far, w, func(x int32, o graph.NodeID) int { return cmp.Compare(r.orig[x], o) })
+			if ok && (i+1 == len(far) || r.orig[far[i+1]] != w) {
+				return mapID(far[i])
+			}
 		}
 		g := r.entry[ix]
 		for j := range p {
 			g = r.succ(g, j)
 		}
+		walked += p
 		return mapID(g)
 	}
 
@@ -218,16 +247,15 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 	// to it, at port 2 (the original-edge port of every non-theta gadget
 	// node). This also repairs untouched neighbours whose half content went
 	// stale when a touched endpoint's ports were compacted.
-	next = 0
-	for _, ix := range touched {
-		v := r.origIDs[ix]
-		d := cur.Degree(v)
-		s := gadgets[next : next+gadgetSize(d)]
-		next += len(s)
+	for _, t := range touched {
+		v := r.origIDs[t.ix]
+		d := int(t.deg)
+		s := gadgets[t.off : int(t.off)+gadgetSize(d)]
 		wire(s, d, set)
 		for _, g := range s {
 			orig[g] = v
 		}
+		far = far[:0]
 		for p := range d {
 			h, err := cur.Neighbor(v, p)
 			if err != nil {
@@ -237,7 +265,10 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 			if !ok {
 				return nil, fmt.Errorf("%w: edge to unknown node %d", ErrDeltaUnusable, h.To)
 			}
-			gv, gw := s[p], node(w, h.ToPort)
+			gv, gw := s[p], node(t.ix, w, h.ToPort)
+			if walked > nOld {
+				return nil, fmt.Errorf("%w: gadget reads past %d hops", ErrDeltaTooLarge, nOld)
+			}
 			set(gv, 2, flatgraph.Half32{To: gw, Port: 2})
 			set(gw, 2, flatgraph.Half32{To: gv, Port: 2})
 		}
@@ -251,3 +282,10 @@ func (r *Reduced) ApplyDelta(cur *graph.Graph, deltas []graph.Delta) (*Reduced, 
 		flat:    flatgraph.New(halves, orig),
 	}, nil
 }
+
+// touch is an original a delta touched: its dense index, its degree in
+// the graph being compiled, and where its new gadget's run starts among
+// the new gadgets' IDs.
+type touch struct{ ix, deg, off int32 }
+
+func byIx(t touch, ix int32) int { return cmp.Compare(t.ix, ix) }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/prng"
 )
@@ -53,7 +54,8 @@ func signature(t *testing.T, r *Reduced) string {
 }
 
 // generation is a deep copy of everything a reduction owns: its packed
-// port table, its projection and its gadget entries.
+// port table, read one half at a time rather than through Table (the copy
+// ApplyDelta edits), its projection and its gadget entries.
 type generation struct {
 	halves []uint32
 	orig   []graph.NodeID
@@ -62,11 +64,17 @@ type generation struct {
 
 func copyGeneration(r *Reduced) generation {
 	f := r.Flat()
-	return generation{
-		halves: f.Table(f.NumNodes()),
+	c := generation{
+		halves: make([]uint32, 0, 3*f.NumNodes()),
 		orig:   slices.Clone(r.orig),
 		entry:  slices.Clone(r.entry),
 	}
+	for i := int32(0); i < int32(f.NumNodes()); i++ {
+		for p := int32(0); p < 3; p++ {
+			c.halves = append(c.halves, f.Half(i, p).Pack())
+		}
+	}
+	return c
 }
 
 func (c generation) equal(d generation) bool {
@@ -246,6 +254,38 @@ func TestApplyDeltaFallbacks(t *testing.T) {
 			t.Fatalf("got %v, want ErrDeltaTooLarge", err)
 		}
 	})
+	t.Run("long-gadget-reads", func(t *testing.T) {
+		// Node 0 has 200 parallel edges to node 1 and one to a path of
+		// eight more. Flipping that one touches two of ten originals, but
+		// node 0's far ends in node 1's 200-node gadget are all parallel,
+		// so each is walked to, about 20,000 hops where the base has 416
+		// nodes.
+		g := seedGraph(t, src, 10, 0)
+		for range 200 {
+			if _, _, err := g.AddEdge(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := g.AddEdge(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		for u := graph.NodeID(2); u < 9; u++ {
+			if _, _, err := g.AddEdge(u, u+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		red, err := Reduce(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := graph.NewJournal(0)
+		g.SetJournal(j)
+		flipEdge(t, g, 0, 2)
+		_, err = applyDelta(t, red, g, j.Peek())
+		if !errors.Is(err, ErrDeltaTooLarge) || !strings.Contains(err.Error(), "gadget reads") {
+			t.Fatalf("got %v, want ErrDeltaTooLarge for the gadget reads", err)
+		}
+	})
 	t.Run("unknown-node", func(t *testing.T) {
 		deltas := []graph.Delta{{Op: graph.DeltaAdd, U: 99, V: 0}}
 		if _, err := red.ApplyDelta(g, deltas); !errors.Is(err, ErrDeltaUnusable) {
@@ -266,6 +306,107 @@ func TestApplyDeltaFallbacks(t *testing.T) {
 			t.Fatalf("empty delta: got (%p, %v), want the base back", got, err)
 		}
 	})
+}
+
+// TestApplyDeltaReadsFarGadgets changes links whose touched ends reach
+// big untouched gadgets and checks each delta compile against Reduce. On
+// the hub, a star whose leaves also form a path, the touched leaves reach
+// the hub's 66-node gadget: leaves 1 and 2 near its entry, by a short
+// walk; leaves 31, 32, 62 and 63 more than eight hops round, by a lookup
+// among their sorted far ends; leaf 40 through three parallel edges, each
+// walked to, as far as 65 hops. On K96 every far end is a lookup, and
+// walking to them all would pass the hop bound. Its originals are added
+// in descending order, so gadget IDs ascend as originals descend, and
+// node 0's gadget comes last: cutting twelve links among the first-added
+// originals shrinks G′ by 24 nodes, which relocates the tail of node 0's
+// gadget, where those originals' far ends lie.
+func TestApplyDeltaReadsFarGadgets(t *testing.T) {
+	hub := gen.Star(65)
+	for i := graph.NodeID(1); i < 64; i++ {
+		if _, _, err := hub.AddEdge(i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if _, _, err := hub.AddEdge(40, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clique := func() *graph.Graph {
+		g := graph.New()
+		for u := graph.NodeID(95); u >= 0; u-- {
+			g.EnsureNode(u)
+		}
+		for u := graph.NodeID(0); u < 96; u++ {
+			for v := u + 1; v < 96; v++ {
+				if _, _, err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return g
+	}
+	pairs := func(from graph.NodeID) [][2]graph.NodeID {
+		var ps [][2]graph.NodeID
+		for u := from; u < from+24; u += 2 {
+			ps = append(ps, [2]graph.NodeID{u, u + 1})
+		}
+		return ps
+	}
+	for _, tc := range []struct {
+		name        string
+		g           *graph.Graph
+		flips, cuts [][2]graph.NodeID
+	}{
+		{"hub", hub, [][2]graph.NodeID{{1, 2}, {31, 32}, {40, 41}, {62, 63}}, nil},
+		{"clique", clique(), pairs(36), nil},
+		{"clique-shrinks", clique(), nil, pairs(72)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			red, err := Reduce(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := graph.NewJournal(0)
+			tc.g.SetJournal(j)
+			for _, f := range tc.flips {
+				flipEdge(t, tc.g, f[0], f[1])
+			}
+			for _, c := range tc.cuts {
+				cutEdge(t, tc.g, c[0], c[1])
+			}
+			next, err := applyDelta(t, red, tc.g, j.Peek())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cuts != nil && next.Flat().NumNodes() >= red.Flat().NumNodes() {
+				t.Fatalf("G′ kept %d nodes of %d", next.Flat().NumNodes(), red.Flat().NumNodes())
+			}
+			checkParity(t, tc.g, next)
+		})
+	}
+}
+
+// cutEdge removes a link between u and v.
+func cutEdge(t *testing.T, g *graph.Graph, u, v graph.NodeID) {
+	t.Helper()
+	p, ok := g.PortTo(u, v)
+	if !ok {
+		t.Fatalf("no link between %d and %d", u, v)
+	}
+	if err := g.RemoveEdge(u, p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipEdge removes a link between u and v and adds it back, which moves
+// it to the last port at both ends.
+func flipEdge(t *testing.T, g *graph.Graph, u, v graph.NodeID) {
+	t.Helper()
+	cutEdge(t, g, u, v)
+	if _, _, err := g.AddEdge(u, v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // FuzzApplyDelta drives random journal/apply sequences from fuzzer-chosen

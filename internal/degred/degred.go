@@ -24,7 +24,9 @@
 package degred
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/flatgraph"
@@ -257,6 +259,21 @@ func (r *Reduced) Gadget(v graph.NodeID) []graph.NodeID {
 // through port 1, and the last node's port 1 leads back to the entry.
 func (r *Reduced) succ(g int32, j int) int32 {
 	return r.flat.Half(g, min(int32(j), 1)).To
+}
+
+// farEnds returns, in buf's storage, the nodes across the port-2 halves
+// of the gadget that starts at entry e, the far ends of its original's
+// edges, sorted by the original each simulates.
+func (r *Reduced) farEnds(buf []int32, e int32) []int32 {
+	buf = buf[:0]
+	for g, j := e, 0; ; j++ {
+		buf = append(buf, r.flat.Half(g, 2).To)
+		if g = r.succ(g, j); g == e {
+			break
+		}
+	}
+	slices.SortFunc(buf, func(a, b int32) int { return cmp.Compare(r.orig[a], r.orig[b]) })
+	return buf
 }
 
 // Entry returns the canonical gadget node for original node v — the place

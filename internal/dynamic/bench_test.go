@@ -210,30 +210,46 @@ func BenchmarkStaticReference(b *testing.B) {
 // 10× and 100×, the delta path's per-epoch cost should stay roughly flat
 // while the full path's grows with the graph. CI guards the ratio at the
 // largest size.
+//
+// The clique rows flip four links of K128, the densest world an edges
+// spec describes, so eight touched originals each read 127 far ends off
+// gadgets of 127 nodes. Most of those far ends are more than eight hops
+// round their gadgets, where the delta compile looks them up among the
+// touched original's sorted far ends instead of walking.
 func BenchmarkDeltaRecompile(b *testing.B) {
 	for _, side := range []int{10, 32, 100} {
-		for _, path := range []string{"delta", "full"} {
-			b.Run(fmt.Sprintf("n=%d/%s", side*side, path), func(b *testing.B) {
-				w := NewWorld(gen.Torus(side, side), nil)
-				w.SetDeltaCompilation(path == "delta")
+		benchRecompile(b, fmt.Sprintf("n=%d", side*side), gen.Torus(side, side), [][2]graph.NodeID{{0, 1}})
+	}
+	benchRecompile(b, "clique/n=128", gen.Complete(128), [][2]graph.NodeID{{0, 64}, {16, 80}, {32, 96}, {48, 112}})
+}
+
+// benchRecompile runs the delta and full rows of BenchmarkDeltaRecompile
+// on a world over g whose every recompile follows removing and re-adding
+// the given links.
+func benchRecompile(b *testing.B, name string, g *graph.Graph, flips [][2]graph.NodeID) {
+	for _, path := range []string{"delta", "full"} {
+		b.Run(name+"/"+path, func(b *testing.B) {
+			w := NewWorld(g, nil)
+			w.SetDeltaCompilation(path == "delta")
+			if _, _, err := w.Compiled(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range flips {
+					if err := w.RemoveEdgeBetween(f[0], f[1]); err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := w.AddEdge(f[0], f[1]); err != nil {
+						b.Fatal(err)
+					}
+				}
 				if _, _, err := w.Compiled(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := w.RemoveEdgeBetween(0, 1); err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := w.AddEdge(0, 1); err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := w.Compiled(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
